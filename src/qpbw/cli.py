@@ -3,12 +3,13 @@
 Two subcommands:
 
     qpbw transition --type A2 --from 2,1,2 --to 1,2,1 [--height H | --weight g]
-    qpbw verify SUITE [--type T] [--height H] [--threads N] [--d-reading R]
+    qpbw verify SUITE [--type T] [--height H] [--d-reading R]
 
 Exit codes: 0 all checks pass / emission succeeded, 1 at least one check
 failed (witnesses on stdout), 2 invalid usage (unknown suite, bad word,
-unknown type).  JSON output is deterministic: identical configurations
-produce byte-identical documents.
+unknown type, negative height, a one-word type for a suite that compares
+words).  JSON output is deterministic: identical configurations produce
+byte-identical documents.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import braid, coordring, fock, pbw
 from .pairing import Pairing, canonical_coords, eq_mod_serre, words_of_weight
@@ -31,6 +31,9 @@ TYPE_NAMES = ("A1", "A2", "A3", "B2", "G2")
 
 SUITES = ("hopf", "braid", "pairing", "pbw-orth", "transfer", "decomp",
           "koy", "conj1", "sl2", "oracle")
+
+# suites that compare two reduced words or two simple roots
+RANK2_SUITES = ("braid", "koy", "oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +155,7 @@ def _hopf_case(cache, label, x, delta):
     return {"check": "hopf %s %s" % (ct.name, label), "pass": ok}
 
 
-def suite_hopf(types=("A2", "B2"), length=4, threads=1):
+def suite_hopf(types=("A2", "B2"), length=4):
     """Counit, coassociativity and antipode axioms on all generator words."""
     cases = []
     for name in types:
@@ -176,7 +179,7 @@ def suite_hopf(types=("A2", "B2"), length=4, threads=1):
                      delta * gencp, depth - 1)
 
         walk("", UElement.one(ct), UTensor.one(ct), length)
-    return _run_cases(cases, threads)
+    return [case() for case in cases]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +211,7 @@ def _braid_word_pair(ct, i, j):
     return w1, w2
 
 
-def suite_braid(types=("A2", "B2", "G2"), n_random=100, threads=1, seed=11):
+def suite_braid(types=("A2", "B2", "G2"), n_random=100, seed=11):
     """Braid relations on generators; hat = S^-1 dot S; counit invariance."""
     cases = []
     for name in types:
@@ -245,7 +248,7 @@ def suite_braid(types=("A2", "B2", "G2"), n_random=100, threads=1, seed=11):
             return {"check": "dThT/epsT %s #%d" % (ct.name, t),
                     "pass": eq_mod_serre(hat, via_s) and eps_ok}
         cases.append(case)
-    return _run_cases(cases, threads)
+    return [case() for case in cases]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +261,7 @@ def _weights_up_to(ct, h):
     return out
 
 
-def suite_pairing(types=("A2", "B2"), height=4, threads=1):
+def suite_pairing(types=("A2", "B2"), height=4):
     """Generator pairings, weight orthogonality, per-weight Gram ranks."""
     cases = []
     for name in types:
@@ -307,13 +310,13 @@ def suite_pairing(types=("A2", "B2"), height=4, threads=1):
                     return {"check": "weight orthogonality %s %s/%s"
                             % (ct.name, list(ga), list(gb)), "pass": ok}
                 cases.append(zero_case)
-    return _run_cases(cases, threads)
+    return [case() for case in cases]
 
 
 # ---------------------------------------------------------------------------
 # PBW orthogonality suite
 
-def suite_pbw_orth(types=(("A2", 5), ("B2", 5), ("G2", 4)), threads=1):
+def suite_pbw_orth(types=(("A2", 5), ("B2", 5), ("G2", 4))):
     """tau(ehat^(n), fhat^n') = delta * prod c(n_r)/[n_r]! along every word.
 
     Equivalently, with plain (non-divided) powers on the e side the pairing
@@ -356,13 +359,13 @@ def suite_pbw_orth(types=(("A2", 5), ("B2", 5), ("G2", 4)), threads=1):
                         out["witness"] = witness
                     return out
                 cases.append(case)
-    return _run_cases(cases, threads)
+    return [case() for case in cases]
 
 
 # ---------------------------------------------------------------------------
 # transfer suite
 
-def suite_transfer(types=("A2", "B2", "G2"), height=4, threads=1):
+def suite_transfer(types=("A2", "B2", "G2"), height=4):
     """S^-1 T_w(etilde^n) = fhat^n along every reduced word of w0."""
     cases = []
     for name in types:
@@ -388,13 +391,13 @@ def suite_transfer(types=("A2", "B2", "G2"), height=4, threads=1):
                                 % (ct.name, format_word(word), list(n)),
                                 "pass": eq_mod_serre(lhs, rhs)}
                     cases.append(case)
-    return _run_cases(cases, threads)
+    return [case() for case in cases]
 
 
 # ---------------------------------------------------------------------------
 # decomposition suite
 
-def suite_decomp(types=("A2", "B2", "G2"), height=4, threads=1):
+def suite_decomp(types=("A2", "B2", "G2"), height=4):
     """Prefix x suffix products span each weight block (one word per type)."""
     cases = []
     for name in types:
@@ -417,14 +420,13 @@ def suite_decomp(types=("A2", "B2", "G2"), height=4, threads=1):
                             % (ct.name, cut, list(ga)),
                             "pass": got == want, "got": got, "want": want}
                 cases.append(case)
-    return _run_cases(cases, threads)
+    return [case() for case in cases]
 
 
 # ---------------------------------------------------------------------------
 # transition / koy suite
 
-def suite_koy(types=("A2", "B2"), height=3, count_height=5, threads=1,
-              d_reading="qi"):
+def suite_koy(types=("A2", "B2"), height=3, count_height=5, d_reading="qi"):
     """Kostant index counts, transition round trips, module basis-change
     round trips."""
     cases = []
@@ -477,14 +479,13 @@ def suite_koy(types=("A2", "B2"), height=3, count_height=5, threads=1,
                     return {"check": "koy round trip %s n=%s"
                             % (ct.name, list(n)), "pass": rt == v}
                 cases.append(fock_case)
-    return _run_cases(cases, threads)
+    return [case() for case in cases]
 
 
 # ---------------------------------------------------------------------------
 # conj1 suite
 
-def suite_conj1(types=("A2", "B2"), height=3, threads=1, d_reading="qi",
-                ladder_n=8):
+def suite_conj1(types=("A2", "B2"), height=3, d_reading="qi", ladder_n=8):
     """Word-independence of the transported e_i operator; A1 ladder."""
     cases = []
     for name in types:
@@ -525,7 +526,7 @@ def suite_conj1(types=("A2", "B2"), height=3, threads=1, d_reading="qi",
             return {"check": "A1 ladder n=%d" % n, "pass": got == want,
                     "got": repr(got)}
         cases.append(ladder)
-    return _run_cases(cases, threads)
+    return [case() for case in cases]
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +594,7 @@ def _sl2_matcoef_letters():
     return ct, letters
 
 
-def suite_sl2(max_n=10, threads=1):
+def suite_sl2(max_n=10):
     """The seven quantized-SL2 relations as operators on the rank-1 module,
     both through the direct slot rules and the matrix-coefficient
     realization."""
@@ -617,13 +618,13 @@ def suite_sl2(max_n=10, threads=1):
         return {"check": "sl2 slot rules = matrix coefficients",
                 "pass": ok}
     cases.append(agreement)
-    return _run_cases(cases, threads)
+    return [case() for case in cases]
 
 
 # ---------------------------------------------------------------------------
 # oracle suite
 
-def suite_oracle(types=(("A2", 3),), d_reading="qi", threads=1):
+def suite_oracle(types=(("A2", 3),), d_reading="qi"):
     """Intertwiner check of the basis-change operator against the tensor
     module built from matrix coefficients."""
     cases = []
@@ -642,61 +643,50 @@ def suite_oracle(types=(("A2", 3),), d_reading="qi", threads=1):
                 out["witness"] = bad[0]
             return out
         cases.append(case)
-    return _run_cases(cases, threads)
+    return [case() for case in cases]
 
 
 # ---------------------------------------------------------------------------
 # runner plumbing
 
-def _run_cases(cases, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futures = [ex.submit(c) for c in cases]
-            return [f.result() for f in futures]
-    return [c() for c in cases]
+def run_suite(name, type_name=None, height=None, d_reading="qi"):
+    """Dispatch a named suite with CLI-level defaults; returns case list.
+    A height of None selects the suite's default; 0 means 0."""
+    def bound(default):
+        return default if height is None else height
 
-
-def run_suite(name, type_name=None, height=None, threads=1,
-              d_reading="qi"):
-    """Dispatch a named suite with CLI-level defaults; returns case list."""
     if name == "hopf":
-        return suite_hopf(types=(type_name,) if type_name else ("A2", "B2"),
-                          threads=threads)
+        return suite_hopf(types=(type_name,) if type_name else ("A2", "B2"))
     if name == "braid":
         return suite_braid(types=(type_name,) if type_name
-                           else ("A2", "B2", "G2"), threads=threads)
+                           else ("A2", "B2", "G2"))
     if name == "pairing":
         return suite_pairing(types=(type_name,) if type_name
-                             else ("A2", "B2"), height=height or 4,
-                             threads=threads)
+                             else ("A2", "B2"), height=bound(4))
     if name == "pbw-orth":
         if type_name:
-            types = ((type_name, height or (4 if type_name == "G2" else 5)),)
+            types = ((type_name, bound(4 if type_name == "G2" else 5)),)
         else:
-            types = (("A2", height or 5), ("B2", height or 5),
-                     ("G2", height or 4))
-        return suite_pbw_orth(types=types, threads=threads)
+            types = (("A2", bound(5)), ("B2", bound(5)), ("G2", bound(4)))
+        return suite_pbw_orth(types=types)
     if name == "transfer":
         return suite_transfer(types=(type_name,) if type_name
-                              else ("A2", "B2", "G2"), height=height or 4,
-                              threads=threads)
+                              else ("A2", "B2", "G2"), height=bound(4))
     if name == "decomp":
         return suite_decomp(types=(type_name,) if type_name
-                            else ("A2", "B2", "G2"), height=height or 4,
-                            threads=threads)
+                            else ("A2", "B2", "G2"), height=bound(4))
     if name == "koy":
         return suite_koy(types=(type_name,) if type_name else ("A2", "B2"),
-                         height=height or 3, threads=threads,
-                         d_reading=d_reading)
+                         height=bound(3), d_reading=d_reading)
     if name == "conj1":
         return suite_conj1(types=(type_name,) if type_name
-                           else ("A2", "B2"), height=height or 3,
-                           threads=threads, d_reading=d_reading)
+                           else ("A2", "B2"), height=bound(3),
+                           d_reading=d_reading)
     if name == "sl2":
-        return suite_sl2(max_n=height or 10, threads=threads)
+        return suite_sl2(max_n=bound(10))
     if name == "oracle":
-        return suite_oracle(types=((type_name or "A2", height or 3),),
-                            d_reading=d_reading, threads=threads)
+        return suite_oracle(types=((type_name or "A2", bound(3)),),
+                            d_reading=d_reading)
     raise KeyError(name)
 
 
@@ -755,7 +745,8 @@ def cmd_transition(args):
                   file=sys.stderr)
             return 2
     else:
-        weights = _weights_up_to(ct, args.height or 3)
+        weights = _weights_up_to(ct, 3 if args.height is None
+                                 else args.height)
     blocks = [_matrix_json(ct, family, from_word, to_word, ga)
               for ga in weights]
     if args.format == "json":
@@ -781,8 +772,12 @@ def cmd_verify(args):
     if args.d_reading not in fock.D_READINGS:
         print("unknown d-reading: %s" % args.d_reading, file=sys.stderr)
         return 2
+    if args.type == "A1" and args.suite in RANK2_SUITES:
+        print("suite %s needs a type of rank 2 or more: A1 has one reduced "
+              "word and no braid relation" % args.suite, file=sys.stderr)
+        return 2
     report = run_suite(args.suite, type_name=args.type, height=args.height,
-                       threads=args.threads, d_reading=args.d_reading)
+                       d_reading=args.d_reading)
     failures = [r for r in report if not r["pass"]]
     if args.format == "json":
         print(json.dumps({"schema": 1, "suite": args.suite,
@@ -807,12 +802,9 @@ def build_parser():
     t.add_argument("--from", required=True, dest="from")
     t.add_argument("--to", required=True)
     t.add_argument("--family", default="hat_e")
-    t.add_argument("--height", type=int,
-                   default=int(os.environ.get("QPBW_HEIGHT", 0)) or None)
+    t.add_argument("--height", type=int)
     t.add_argument("--weight")
     t.add_argument("--format", choices=("text", "json"), default="json")
-    t.add_argument("--threads", type=int,
-                   default=int(os.environ.get("QPBW_THREADS", 1)))
     t.add_argument("--d-reading", choices=fock.D_READINGS, default="qi",
                    dest="d_reading")
 
@@ -822,18 +814,33 @@ def build_parser():
     v.add_argument("--word")
     v.add_argument("--family")
     v.add_argument("--weight")
-    v.add_argument("--height", type=int,
-                   default=int(os.environ.get("QPBW_HEIGHT", 0)) or None)
+    v.add_argument("--height", type=int)
     v.add_argument("--format", choices=("text", "json"), default="text")
-    v.add_argument("--threads", type=int,
-                   default=int(os.environ.get("QPBW_THREADS", 1)))
     v.add_argument("--d-reading", choices=fock.D_READINGS, default="qi",
                    dest="d_reading")
     return p
 
 
+def _resolve_height(args):
+    """Fill args.height from QPBW_HEIGHT when --height is absent; returns
+    an error message for a value that is not a nonnegative integer."""
+    env = os.environ.get("QPBW_HEIGHT", "").strip()
+    if args.height is None and env:
+        try:
+            args.height = int(env)
+        except ValueError:
+            return "QPBW_HEIGHT must be an integer, got %r" % env
+    if args.height is not None and args.height < 0:
+        return "height must be nonnegative, got %d" % args.height
+    return None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    error = _resolve_height(args)
+    if error:
+        print(error, file=sys.stderr)
+        return 2
     if args.command == "transition":
         return cmd_transition(args)
     return cmd_verify(args)

@@ -19,7 +19,8 @@ performed inside d(n) (plain q versus q_i) is selectable; see D_READINGS.
 
 from __future__ import annotations
 
-from .pbw import emul_constants, prefix_roots, transition_matrix
+from .pbw import (emul_constants, prefix_roots, stored_block,
+                  transition_matrix)
 from .rootdata import CartanType, suffix_roots
 from .scalars import ONE, Scalar, d_const, qfact_scalar
 
@@ -189,6 +190,21 @@ def _uplus_weight(ct, word, n):
                  for t in range(ct.rank))
 
 
+def _koy_block(ct, from_word, to_word, gamma, d_reading):
+    """Rows {n: {n': a_{nn'} d_j(n) / d_i(n')}} of the basis change at
+    weight gamma, kept in the PBW block store per reading."""
+    def build():
+        out = {}
+        for n, row in transition_matrix(ct, "ehat", from_word, to_word,
+                                        gamma).items():
+            dn = d_word_const(ct, from_word, n, d_reading)
+            out[n] = {n2: a * dn / d_word_const(ct, to_word, n2, d_reading)
+                      for n2, a in row.items()}
+        return out
+    return stored_block(("koy", ct.name, from_word, to_word, gamma,
+                         d_reading), build)
+
+
 def koy_transform(ct: CartanType, from_word, to_word, v: FockVector,
                   d_reading: str = "qi", height=None) -> FockVector:
     """Express v (living on from_word) in the basis along to_word:
@@ -203,15 +219,11 @@ def koy_transform(ct: CartanType, from_word, to_word, v: FockVector,
     if from_word == to_word:
         return v
     terms = {}
-    cache = {}
     for n, c in v.terms.items():
-        gamma = _uplus_weight(ct, from_word, n)
-        if gamma not in cache:
-            cache[gamma] = transition_matrix(ct, "ehat", from_word,
-                                             to_word, gamma)
-        dn = d_word_const(ct, from_word, n, d_reading)
-        for n2, a in cache[gamma][n].items():
-            coeff = c * a * dn / d_word_const(ct, to_word, n2, d_reading)
+        rows = _koy_block(ct, from_word, to_word,
+                          _uplus_weight(ct, from_word, n), d_reading)
+        for n2, a in rows[n].items():
+            coeff = c * a
             if n2 in terms:
                 terms[n2] = terms[n2] + coeff
             else:
@@ -244,13 +256,10 @@ def conj1_operator(ct: CartanType, word, i: int, v: FockVector,
         raise ValueError("vector does not live on the word")
     bound = _check_height(ct, v, height)
     terms = {}
-    cache = {}
     for n, c in v.terms.items():
-        gamma = _uplus_weight(ct, word, n)
-        if gamma not in cache:
-            cache[gamma] = emul_constants(ct, word, i, gamma)
+        consts = emul_constants(ct, word, i, _uplus_weight(ct, word, n))
         dn = d_word_const(ct, word, n, d_reading)
-        for (n0, n2), cc in cache[gamma].items():
+        for (n0, n2), cc in consts.items():
             if n0 != n:
                 continue
             coeff = c * cc * dn / d_word_const(ct, word, n2, d_reading)

@@ -22,6 +22,12 @@ The ehat/fhat pair is tau-orthogonal:
 coordinates are a single division and all transitions are routed through
 them; other families are expressed in hat coordinates and inverted per
 weight block by exact Gaussian elimination.
+
+Weight blocks are kept in one process-wide store: the hat monomials that
+pbw_coords pairs against, the rows of each transition block and each block
+of e_i structure constants are computed on first request and shared by
+every later one for the life of the process.  Stored blocks are returned
+as they are, so callers must not mutate them; clear_store() drops them all.
 """
 
 from __future__ import annotations
@@ -102,6 +108,35 @@ def _hat_norm(ct_name: str, word, n) -> Scalar:
     return total
 
 
+# -- the process-wide block store ------------------------------------------
+
+_store = {}
+
+
+def stored_block(key, build):
+    """The block under key, built by build() on the first request."""
+    block = _store.get(key)
+    if block is None:
+        block = _store[key] = build()
+    return block
+
+
+def clear_store():
+    """Drop every stored block; later requests recompute them."""
+    _store.clear()
+
+
+def _dual_hat_block(ct: CartanType, word, gamma, eside) -> dict:
+    """{n: hat monomial} of weight gamma that hat coordinates on the e side
+    (eside) or f side pair against: fhat^n, respectively ehat^(n)."""
+    family = "fhat" if eside else "ehat"
+    word, gamma = tuple(word), tuple(gamma)
+    return stored_block(
+        ("monomials", ct.name, family, word, gamma),
+        lambda: {n: pbw_monomial(ct, family, word, n)
+                 for n in indices_of_weight(ct, family, word, gamma)})
+
+
 def pbw_coords(ct: CartanType, x: UElement, word, eside=True) -> dict:
     """Coordinates of x in the hat-family PBW basis along the word.
 
@@ -120,11 +155,8 @@ def pbw_coords(ct: CartanType, x: UElement, word, eside=True) -> dict:
     gamma = gammas.pop()
     pr = Pairing(ct)
     out = {}
-    for n in indices_of_weight(ct, "ehat", word, gamma):
-        if eside:
-            val = pr.tau(x, pbw_monomial(ct, "fhat", word, n))
-        else:
-            val = pr.tau(pbw_monomial(ct, "ehat", word, n), x)
+    for n, y in _dual_hat_block(ct, word, gamma, eside).items():
+        val = pr.tau(x, y) if eside else pr.tau(y, x)
         if not val.is_zero():
             out[n] = val / _hat_norm(ct.name, word, n)
     return out
@@ -171,6 +203,19 @@ def solve_linear(columns, target):
     return [mat[r][ncols] for r in piv_rows]
 
 
+def _family_columns(ct, family, word, gamma, eside):
+    """Indices of the family's weight-gamma block along the word and the hat
+    coordinates of its monomials, in the same order."""
+    idx = indices_of_weight(ct, family, word, gamma)
+    return idx, [pbw_coords(ct, pbw_monomial(ct, family, word, n), word,
+                            eside=eside) for n in idx]
+
+
+def _solve_in_family(idx, columns, coords):
+    sol = solve_linear(columns, coords)
+    return {n: c for n, c in zip(idx, sol) if not c.is_zero()}
+
+
 def expand_in_family(ct, x: UElement, family: str, word, eside=None) -> dict:
     """Coefficients of x in the given PBW family basis along the word."""
     family = normalize_family(family)
@@ -178,16 +223,11 @@ def expand_in_family(ct, x: UElement, family: str, word, eside=None) -> dict:
         eside = family in E_FAMILIES
     word = tuple(word)
     coords = pbw_coords(ct, x, word, eside=eside)
-    if family == ("ehat" if eside else "fhat"):
+    if family == ("ehat" if eside else "fhat") or not coords:
         return coords
-    if not coords:
-        return {}
     gamma = _weight_of_coords(ct, word, coords)
-    idx = indices_of_weight(ct, family, word, gamma)
-    columns = [pbw_coords(ct, pbw_monomial(ct, family, word, n),
-                          word, eside=eside) for n in idx]
-    sol = solve_linear(columns, coords)
-    return {n: c for n, c in zip(idx, sol) if not c.is_zero()}
+    return _solve_in_family(*_family_columns(ct, family, word, gamma, eside),
+                            coords)
 
 
 def _weight_of_coords(ct, word, coords):
@@ -201,13 +241,28 @@ def transition_matrix(ct: CartanType, family: str, from_word, to_word,
                       gamma) -> dict:
     """Rows {src index n: {tgt index n': Scalar}} expressing each PBW
     monomial of the family along from_word in the same family along
-    to_word, at weight gamma."""
+    to_word, at weight gamma.
+
+    Each block is computed once and stored for the life of the process;
+    every later call with the same arguments returns the same dict, which
+    is shared and must not be mutated."""
     family = normalize_family(family)
+    from_word, to_word, gamma = tuple(from_word), tuple(to_word), tuple(gamma)
+    return stored_block(
+        ("transition", ct.name, family, from_word, to_word, gamma),
+        lambda: _transition_rows(ct, family, from_word, to_word, gamma))
+
+
+def _transition_rows(ct, family, from_word, to_word, gamma):
     eside = family in E_FAMILIES
+    columns = None
+    if family != ("ehat" if eside else "fhat"):
+        columns = _family_columns(ct, family, to_word, gamma, eside)
     rows = {}
     for n in indices_of_weight(ct, family, from_word, gamma):
         mono = pbw_monomial(ct, family, from_word, n)
-        rows[n] = expand_in_family(ct, mono, family, to_word, eside=eside)
+        coords = pbw_coords(ct, mono, to_word, eside=eside)
+        rows[n] = _solve_in_family(*columns, coords) if columns else coords
     return rows
 
 
@@ -215,8 +270,14 @@ def emul_constants(ct: CartanType, word, i: int, gamma) -> dict:
     """Structure constants of right multiplication by e_i in the ehat basis:
     ehat^(n) e_i = sum_{n'} c_{n n'} ehat^(n'); returns {(n, n'): Scalar}
     over source indices n of weight gamma (targets have weight
-    gamma + alpha_i)."""
-    word = tuple(word)
+    gamma + alpha_i).  Stored like transition_matrix: shared, not to be
+    mutated."""
+    word, gamma = tuple(word), tuple(gamma)
+    return stored_block(("emul", ct.name, word, i, gamma),
+                        lambda: _emul_block(ct, word, i, gamma))
+
+
+def _emul_block(ct, word, i, gamma):
     out = {}
     for n in indices_of_weight(ct, "ehat", word, gamma):
         prod = pbw_monomial(ct, "ehat", word, n) * UElement.e(ct, i)

@@ -112,3 +112,39 @@ def test_text_output(capsys):
     code, out, _ = run(["verify", "sl2"], capsys)
     assert code == 0
     assert "0 failures" in out
+
+
+def test_one_word_type_for_word_comparing_suites(capsys):
+    for suite in ("koy", "oracle", "braid"):
+        code, out, err = run(["verify", suite, "--type", "A1"], capsys)
+        assert code == 2
+        assert "A1" in err and not out
+
+
+def test_env_height_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("QPBW_HEIGHT", "abc")
+    code, out, err = run(["verify", "sl2"], capsys)
+    assert code == 2
+    assert "QPBW_HEIGHT" in err and not out
+
+
+def test_negative_height_rejected(capsys):
+    for argv in (["verify", "sl2", "--height", "-1"],
+                 ["transition", "--type", "A2", "--from", "1,2,1",
+                  "--to", "2,1,2", "--height", "-1"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "nonnegative" in err and not out
+
+
+def test_height_zero_means_zero(capsys, monkeypatch):
+    code, out, _ = run(["verify", "pairing", "--type", "A2",
+                        "--height", "0", "--format", "json"], capsys)
+    assert code == 0
+    # only the generator pairings tau(e_i, f_j); no weight block is visited
+    assert json.loads(out)["cases"] == 4
+    monkeypatch.setenv("QPBW_HEIGHT", "0")
+    code, out, _ = run(["transition", "--type", "A2", "--from", "1,2,1",
+                        "--to", "2,1,2"], capsys)
+    assert code == 0
+    assert json.loads(out)["blocks"] == []

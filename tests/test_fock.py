@@ -2,7 +2,7 @@
 
 import pytest
 
-from qpbw import fock
+from qpbw import fock, pbw
 from qpbw.fock import FockVector, TruncationError, conj1_operator, \
     koy_transform, sigma_scalar, sl2_act
 from qpbw.rootdata import CartanType, all_reduced_words
@@ -137,3 +137,32 @@ def test_fock_json():
     js = v.to_json()
     assert js["word"] == [1, 2, 1]
     assert js["terms"] == [{"exps": [1, 0, 0], "coeff": "1/q"}]
+
+
+def _basis_change_images(d_reading, cold=False):
+    """koy_transform and conj1_operator images of a few basis vectors on A2
+    and B2; cold=True empties the PBW block store before each call."""
+    def fresh(op, *args):
+        if cold:
+            pbw.clear_store()
+        return op(*args, d_reading)
+
+    out = []
+    for name in ("A2", "B2"):
+        ct = CartanType(name)
+        wa, wb = sorted(all_reduced_words(ct, ct.longest_word()))
+        for exps in ((0,) * len(wa), (1,) + (0,) * (len(wa) - 1),
+                     (0, 1) + (0,) * (len(wa) - 2), (1, 0, 1, 0)[:len(wa)]):
+            v = basis(ct, wa, exps)
+            out.append(fresh(koy_transform, ct, wa, wb, v))
+            out += [fresh(conj1_operator, ct, wa, i, v)
+                    for i in range(ct.rank)]
+    return out
+
+
+def test_store_cold_and_warm_vectors_agree():
+    cold = {r: _basis_change_images(r, cold=True) for r in fock.D_READINGS}
+    assert cold["qi"] != cold["q"]
+    pbw.clear_store()
+    for d_reading in fock.D_READINGS:
+        assert _basis_change_images(d_reading) == cold[d_reading]

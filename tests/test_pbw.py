@@ -1,6 +1,7 @@
 """PBW monomials, weight blocks, transition matrices, e-multiplication."""
 
 from qpbw import pbw
+from qpbw.braid import FAMILIES
 from qpbw.pairing import eq_mod_serre
 from qpbw.rootdata import CartanType, all_reduced_words, kostant_count
 from qpbw.scalars import Scalar, qfact_scalar, qint_scalar
@@ -119,3 +120,41 @@ def test_expand_in_family_roundtrip():
     x = pbw.pbw_monomial(ct, "edot", word, (1, 1, 0))
     coords = pbw.expand_in_family(ct, x, "edot", word)
     assert coords == {(1, 1, 0): ONE}
+
+
+def _blocks_up_to(ct, wa, wb, height, cold=False):
+    """Every transition block between wa and wb up to the height, for all
+    six families; cold=True empties the store before each block."""
+    out = {}
+    for family in FAMILIES:
+        for h in range(1, height + 1):
+            for ga in _weights_of_height(ct, h):
+                if cold:
+                    pbw.clear_store()
+                out[family, ga] = pbw.transition_matrix(ct, family, wa, wb,
+                                                        ga)
+    return out
+
+
+def test_store_hit_equals_cold_recomputation():
+    cases = [(CartanType(name), 3) for name in ("A2", "B2")]
+    cases.append((CartanType("A3"), 2))
+    for ct, height in cases:
+        words = sorted(all_reduced_words(ct, ct.longest_word()))
+        wa, wb = words[0], words[-1]
+        cold = _blocks_up_to(ct, wa, wb, height, cold=True)
+        pbw.clear_store()
+        stored = _blocks_up_to(ct, wa, wb, height)
+        hits = _blocks_up_to(ct, wa, wb, height)
+        for k, block in stored.items():
+            assert hits[k] is block
+            assert block == cold[k], (ct.name, k)
+
+
+def test_repeated_calls_return_the_stored_block():
+    ct = CartanType("A2")
+    first = pbw.transition_matrix(ct, "hat_e", [1, 0, 1], [0, 1, 0], [1, 1])
+    again = pbw.transition_matrix(ct, "ehat", (1, 0, 1), (0, 1, 0), (1, 1))
+    assert again is first
+    consts = pbw.emul_constants(ct, [0, 1, 0], 1, [1, 0])
+    assert pbw.emul_constants(ct, (0, 1, 0), 1, (1, 0)) is consts
