@@ -8,8 +8,8 @@ Two subcommands:
 Exit codes: 0 all checks pass / emission succeeded, 1 at least one check
 failed (witnesses on stdout), 2 invalid usage (unknown suite, bad word,
 unknown type, negative height, a one-word type for a suite that compares
-words).  JSON output is deterministic: identical configurations produce
-byte-identical documents.
+words) or a verify run that decides no case.  JSON output is
+deterministic: identical configurations produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 from . import braid, coordring, fock, pbw
 from .pairing import Pairing, canonical_coords, eq_mod_serre, words_of_weight
 from .rootdata import (CartanType, all_reduced_words, format_word,
-                       kostant_count, parse_word)
+                       kostant_count, parse_word, weights_of_height)
 from .scalars import ONE, ZERO, Scalar, c_const, qfact_scalar
 from .uqcore import UElement, UTensor
 
@@ -255,10 +255,8 @@ def suite_braid(types=("A2", "B2", "G2"), n_random=100, seed=11):
 # pairing suite
 
 def _weights_up_to(ct, h):
-    out = []
-    for height in range(1, h + 1):
-        out.extend(coordring._weights_of_height(ct, height))
-    return out
+    return [ga for height in range(1, h + 1)
+            for ga in weights_of_height(ct, height)]
 
 
 def suite_pairing(types=("A2", "B2"), height=4):
@@ -778,6 +776,11 @@ def cmd_verify(args):
         return 2
     report = run_suite(args.suite, type_name=args.type, height=args.height,
                        d_reading=args.d_reading)
+    if not report:
+        print("suite %s decides no case at height %s: nothing was checked"
+              % (args.suite, "default" if args.height is None
+                 else args.height), file=sys.stderr)
+        return 2
     failures = [r for r in report if not r["pass"]]
     if args.format == "json":
         print(json.dumps({"schema": 1, "suite": args.suite,
@@ -805,15 +808,10 @@ def build_parser():
     t.add_argument("--height", type=int)
     t.add_argument("--weight")
     t.add_argument("--format", choices=("text", "json"), default="json")
-    t.add_argument("--d-reading", choices=fock.D_READINGS, default="qi",
-                   dest="d_reading")
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite")
     v.add_argument("--type")
-    v.add_argument("--word")
-    v.add_argument("--family")
-    v.add_argument("--weight")
     v.add_argument("--height", type=int)
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--d-reading", choices=fock.D_READINGS, default="qi",

@@ -31,7 +31,7 @@ from functools import lru_cache
 from .fock import FockVector, koy_transform, leg_act
 from .pairing import words_of_weight
 from .pbw import indices_of_weight, solve_linear
-from .rootdata import CartanType
+from .rootdata import CartanType, weights_of_height
 from .scalars import ONE, ZERO, Scalar, qfact, qint
 
 
@@ -66,7 +66,16 @@ def _mat_mul(a, b):
 
 
 def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x if y.is_zero() else x - y for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
+
+
+def _dot(a, b):
+    total = ZERO
+    for x, y in zip(a, b):
+        if not (x.is_zero() or y.is_zero()):
+            total = total + x * y
+    return total
 
 
 def _mat_scale(a, s):
@@ -137,15 +146,37 @@ def _pair_weight_alpha(ct: CartanType, lam, eword, i) -> int:
     return int(val)
 
 
+# (ct.name, lam) -> {(xword, yword): <x v, y v>} for the LWModule build in
+# progress; dropped when the build ends, because keeping the sub-forms of
+# every module for the life of the process costs about 10% peak RSS.
+_SUB_FORMS = {}
+
+
 @lru_cache(maxsize=None)
 def _form_words(ct: CartanType, lam, xword, yword) -> Scalar:
     """Contravariant form <x v, y v> of two e-words at lowest weight lam."""
-    vec = {yword: ONE}
-    for i in xword:
-        vec = _verma_f(ct, lam, i, vec)
-        if not vec:
-            return ZERO
-    return vec.get((), ZERO)
+    memo = _SUB_FORMS.get((ct.name, lam))
+    return _sub_form(ct, lam, xword, yword, {} if memo is None else memo)
+
+
+def _sub_form(ct: CartanType, lam, xword, yword, memo) -> Scalar:
+    """<x v, y v> by recursion on the first letter of x:
+
+        <x v, y v> = sum_{y'} [f_{x_1} e_y v : y'] <x[1:] v, y' v>.
+    """
+    if not xword:
+        return ZERO if yword else ONE
+    key = (xword, yword)
+    val = memo.get(key)
+    if val is None:
+        val = ZERO
+        rest = xword[1:]
+        for w2, c in _verma_f_word(ct, lam, xword[0], yword).items():
+            sub = _sub_form(ct, lam, rest, w2, memo)
+            if not sub.is_zero():
+                val = val + c * sub
+        memo[key] = val
+    return val
 
 
 class LWModule:
@@ -160,8 +191,12 @@ class LWModule:
             raise ValueError("lowest weight must be antidominant")
         self.ct = ct
         self.lam = lam
-        self._build_basis()
-        self._build_matrices()
+        _SUB_FORMS[ct.name, lam] = {}
+        try:
+            self._build_basis()
+            self._build_matrices()
+        finally:
+            del _SUB_FORMS[ct.name, lam]
         self._check_relations()
         self._string_cache = {}
         self._leg_cache = {}
@@ -201,19 +236,31 @@ class LWModule:
         self.dim = len(self.basis)
 
     def _select_words(self, gamma):
-        """Maximal subset of e-words of weight gamma with invertible Gram."""
+        """Maximal subset of e-words of weight gamma with invertible Gram,
+        chosen greedily in word order.  A word w joins the selection iff
+        its Schur complement s = <w,w> - row G^{-1} col is nonzero, since
+        det(G + w) = det(G) s; G^{-1} then grows by the block formula."""
         ct, lam = self.ct, self.lam
-        sel, rows = [], []
+        sel, gram, ginv = [], [], []
         for w in words_of_weight(ct, gamma):
-            cand = sel + [w]
-            gram = [[_form_words(ct, lam, a, b) for b in cand]
-                    for a in cand]
-            try:
-                _mat_inverse(gram)
-            except ValueError:
+            col = [_form_words(ct, lam, a, w) for a in sel]
+            row = [_form_words(ct, lam, w, b) for b in sel]
+            diag = _form_words(ct, lam, w, w)
+            u = [_dot(r, col) for r in ginv]                  # G^{-1} col
+            v = [_dot(row, [r[j] for r in ginv])              # row G^{-1}
+                 for j in range(len(sel))]
+            s = diag - _dot(row, u)
+            if s.is_zero():
                 continue
-            sel, rows = cand, gram
-        return sel, rows
+            sinv = s.inverse()
+            us = [x * sinv for x in u]
+            ginv = [[g + a * b for g, b in zip(grow, v)] + [-a]
+                    for grow, a in zip(ginv, us)]
+            ginv.append([-b * sinv for b in v] + [sinv])
+            gram = [grow + [c] for grow, c in zip(gram, col)]
+            gram.append(row + [diag])
+            sel.append(w)
+        return sel, gram
 
     def _coords(self, gamma, vec: dict):
         """Coordinates (over the selected words at gamma) of a Verma vector
@@ -269,22 +316,26 @@ class LWModule:
             m[n][n] = Scalar.q_power(power * self.k_exponent(i, n))
         return m
 
-    def _divided_e_power(self, i, n):
-        m = _identity(self.dim)
-        for _ in range(n):
-            m = _mat_mul(self.e_mats[i], m)
-        return _mat_scale(m, Scalar.from_laurent(qfact(n).subst_power(
-            self.ct.qi(i))).inverse())
-
-    def _divided_f_power(self, i, n):
-        m = _identity(self.dim)
-        for _ in range(n):
-            m = _mat_mul(self.f_mats[i], m)
-        return _mat_scale(m, Scalar.from_laurent(qfact(n).subst_power(
-            self.ct.qi(i))).inverse())
+    def _divided_powers(self, mats, top):
+        """[[m_i^(n) for n in 0..top] for each i], m_i^(n) = m_i^n / [n]_i!
+        for the generator matrices m_i in mats."""
+        out = []
+        for i, m in enumerate(mats):
+            power, row = _identity(self.dim), []
+            for n in range(top + 1):
+                if n:
+                    power = _mat_mul(m, power)
+                row.append(_mat_scale(power, Scalar.from_laurent(
+                    qfact(n).subst_power(self.ct.qi(i))).inverse()))
+            out.append(row)
+        return out
 
     def _check_relations(self):
         ct = self.ct
+        top = max((1 - ct.a[i][j] for i in range(ct.rank)
+                   for j in range(ct.rank) if i != j), default=0)
+        e_div = self._divided_powers(self.e_mats, top)
+        f_div = self._divided_powers(self.f_mats, top)
         for i in range(ct.rank):
             ki, kiv = self.k_matrix(i), self.k_matrix(i, -1)
             for j in range(ct.rank):
@@ -315,15 +366,13 @@ class LWModule:
                     sf = _zeros(self.dim, self.dim)
                     for r in range(n + 1):
                         sgn = Scalar.from_int((-1) ** r)
-                        term = _mat_mul(self._divided_e_power(i, r),
+                        term = _mat_mul(e_div[i][r],
                                         _mat_mul(self.e_mats[j],
-                                                 self._divided_e_power(
-                                                     i, n - r)))
+                                                 e_div[i][n - r]))
                         se = _mat_sub(se, _mat_scale(term, -sgn))
-                        term = _mat_mul(self._divided_f_power(i, r),
+                        term = _mat_mul(f_div[i][r],
                                         _mat_mul(self.f_mats[j],
-                                                 self._divided_f_power(
-                                                     i, n - r)))
+                                                 f_div[i][n - r]))
                         sf = _mat_sub(sf, _mat_scale(term, -sgn))
                     if not (_mat_is_zero(se) and _mat_is_zero(sf)):
                         raise AssertionError("Serre relation fails")
@@ -601,7 +650,7 @@ def verify_intertwiner(ct: CartanType, from_word, to_word, heightbound,
     report = []
     exps = []
     for h in range(heightbound + 1):
-        for gamma in _weights_of_height(ct, h):
+        for gamma in weights_of_height(ct, h):
             exps.extend(indices_of_weight(ct, "ehat", from_word, gamma))
     for V in modules:
         for s in range(V.dim):
@@ -623,17 +672,3 @@ def verify_intertwiner(ct: CartanType, from_word, to_word, heightbound,
                         case["rhs"] = rhs.to_json()
                     report.append(case)
     return report
-
-
-def _weights_of_height(ct: CartanType, h):
-    out = []
-
-    def rec(i, rem, acc):
-        if i == ct.rank - 1:
-            out.append(tuple(acc + [rem]))
-            return
-        for v in range(rem + 1):
-            rec(i + 1, rem - v, acc + [v])
-
-    rec(0, h, [])
-    return sorted(out)

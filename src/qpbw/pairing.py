@@ -22,8 +22,6 @@ the equality oracle modulo the quantum Serre relations.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .rootdata import CartanType
 from .scalars import ONE, ZERO, Scalar
 from .uqcore import UElement, _fword_weight
@@ -91,13 +89,26 @@ class Pairing:
 
 
 def words_of_weight(ct: CartanType, gamma):
-    """All words in the alphabet I with content gamma, sorted."""
-    letters = []
-    for i, m in enumerate(gamma):
-        if m < 0:
-            raise ValueError("weight must be a nonnegative root-lattice sum")
-        letters.extend([i] * m)
-    return sorted(set(permutations(letters)))
+    """All words in the alphabet I with content gamma, sorted: the distinct
+    orderings of the multiset, generated in lexicographic order at
+    O(height) per word."""
+    left = list(gamma)
+    if any(m < 0 for m in left):
+        raise ValueError("weight must be a nonnegative root-lattice sum")
+    out = []
+
+    def rec(prefix, remaining):
+        if not remaining:
+            out.append(prefix)
+            return
+        for i, m in enumerate(left):
+            if m:
+                left[i] -= 1
+                rec(prefix + (i,), remaining - 1)
+                left[i] += 1
+
+    rec((), sum(left))
+    return out
 
 
 def canonical_coords(x: UElement) -> dict:

@@ -162,14 +162,6 @@ def pbw_coords(ct: CartanType, x: UElement, word, eside=True) -> dict:
     return out
 
 
-def from_coords(ct: CartanType, coords: dict, word, eside=True) -> UElement:
-    family = "ehat" if eside else "fhat"
-    x = UElement.zero(ct)
-    for n, c in coords.items():
-        x = x + pbw_monomial(ct, family, word, n).scale(c)
-    return x
-
-
 # -- exact linear algebra over the Scalar field ----------------------------
 
 def solve_linear(columns, target):

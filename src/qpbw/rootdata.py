@@ -14,9 +14,7 @@ coordinates.  Indices are 0-based internally; serialization is 1-based.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 _CARTAN = {
     "A1": ((2,),),
@@ -35,13 +33,6 @@ _SYMMETRIZER = {
 }
 
 _NUM_POS_ROOTS = {"A1": 1, "A2": 3, "A3": 6, "B2": 4, "G2": 6}
-
-
-class LatticeVec(NamedTuple):
-    """Lattice element: integer coords in the tagged basis ('Q' or 'P')."""
-
-    coords: tuple
-    basis: str
 
 
 class CartanType:
@@ -100,35 +91,9 @@ class CartanType:
         """(lam, gam) with lam in weight coords, gam in root coords."""
         return sum(lam[j] * self.d[j] * gam[j] for j in range(self.rank))
 
-    def pair_pp(self, lam, mu):
-        """(lam, mu) with both in weight coords; may be fractional."""
-        inv = self._cartan_inverse()
-        return sum(lam[i] * inv[j][i] * self.d[j] * mu[j]
-                   for i in range(self.rank) for j in range(self.rank))
-
-    @lru_cache(maxsize=None)
-    def _cartan_inverse(self):
-        n = self.rank
-        m = [[Fraction(self.a[i][j]) for j in range(n)]
-             + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if m[r][col] != 0)
-            m[col], m[piv] = m[piv], m[col]
-            p = m[col][col]
-            m[col] = [x / p for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return tuple(tuple(row[n:]) for row in m)
-
     def coroot_pair_q(self, v, i):
         """(v, alpha_i^vee) for v in root coordinates."""
         return sum(v[j] * self.a[i][j] for j in range(self.rank))
-
-    def weight_coords_of_root(self, v):
-        """Root coords -> weight coords (always integral)."""
-        return tuple(self.coroot_pair_q(v, i) for i in range(self.rank))
 
     def height(self, v):
         return sum(v)
@@ -142,21 +107,11 @@ class CartanType:
         c = lam[i]
         return tuple(lam[j] - c * self.a[j][i] for j in range(self.rank))
 
-    def reflect(self, i, vec: LatticeVec) -> LatticeVec:
-        if vec.basis == "Q":
-            return LatticeVec(self.reflect_q(i, vec.coords), "Q")
-        return LatticeVec(self.reflect_p(i, vec.coords), "P")
-
     def word_act_q(self, word, v):
         """Apply s_{i_1} ... s_{i_m} to v (rightmost letter acts first)."""
         for i in reversed(word):
             v = self.reflect_q(i, v)
         return v
-
-    def word_act_p(self, word, lam):
-        for i in reversed(word):
-            lam = self.reflect_p(i, lam)
-        return lam
 
     # -- Weyl words ---------------------------------------------------------
     def length_of(self, word):
@@ -242,6 +197,18 @@ def prefix_roots(ct: CartanType, word):
             v = ct.reflect_q(word[k], v)
         out.append(v)
     return tuple(out)
+
+
+def weights_of_height(ct: CartanType, h):
+    """Every gamma in Q_+ of height h (nonnegative simple-root coordinates
+    summing to h), sorted; empty for a negative h."""
+    def rec(rank, rem):
+        if rank == 1:
+            return [(rem,)]
+        return [(c,) + rest for c in range(rem + 1)
+                for rest in rec(rank - 1, rem - c)]
+
+    return rec(ct.rank, h) if h >= 0 else []
 
 
 def kostant_count(ct: CartanType, gamma) -> int:

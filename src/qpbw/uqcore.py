@@ -203,9 +203,6 @@ class UElement:
             out = out + x.scale(c.bar())
         return out
 
-    def map_coeffs(self, fn):
-        return UElement(self.ct, {m: fn(c) for m, c in self.terms.items()})
-
     # -- display --------------------------------------------------------
     def __repr__(self):
         if not self.terms:
@@ -386,32 +383,6 @@ class UTensor:
 
     def is_zero(self):
         return not self.terms
-
-    def apply_left(self, fn) -> "UTensor":
-        """Apply a linear map (UElement -> UElement) to the left leg."""
-        ct = self.ct
-        acc = {}
-        for (a, b), c in self.terms.items():
-            img = fn(UElement(ct, {a: ONE}))
-            for m, cm in img.terms.items():
-                _add_term(acc, (m, b), c * cm)
-        return UTensor(ct, acc)
-
-    def apply_right(self, fn) -> "UTensor":
-        ct = self.ct
-        acc = {}
-        for (a, b), c in self.terms.items():
-            img = fn(UElement(ct, {b: ONE}))
-            for m, cm in img.terms.items():
-                _add_term(acc, (a, m), c * cm)
-        return UTensor(ct, acc)
-
-    def contract(self, pairing) -> Scalar:
-        """sum pairing(left, right) * coeff over all terms."""
-        total = Scalar.from_int(0)
-        for (a, b), c in self.terms.items():
-            total = total + pairing(a, b) * c
-        return total
 
     def __repr__(self):
         if not self.terms:

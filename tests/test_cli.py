@@ -148,3 +148,32 @@ def test_height_zero_means_zero(capsys, monkeypatch):
                         "--to", "2,1,2"], capsys)
     assert code == 0
     assert json.loads(out)["blocks"] == []
+
+
+def test_verify_deciding_no_case_exits_2(capsys, monkeypatch):
+    # at height 0 these suites have no weight block to check; a run that
+    # checks nothing must not exit 0 like a full pass
+    for suite in ("pbw-orth", "transfer", "decomp"):
+        for fmt in ("text", "json"):
+            code, out, err = run(["verify", suite, "--type", "A2",
+                                  "--height", "0", "--format", fmt], capsys)
+            assert code == 2
+            assert suite in err and "height 0" in err and not out
+    monkeypatch.setenv("QPBW_HEIGHT", "0")
+    code, out, err = run(["verify", "transfer", "--type", "B2"], capsys)
+    assert code == 2 and "transfer" in err and not out
+    code, out, _ = run(["verify", "decomp", "--type", "A2",
+                        "--height", "1"], capsys)
+    assert code == 0 and "0 failures" in out
+
+
+def test_removed_flags_exit_2():
+    # flags that were parsed but never read are gone; argparse rejects them
+    for argv in (["transition", "--type", "B2", "--from", "1,2,1,2",
+                  "--to", "2,1,2,1", "--height", "2", "--d-reading", "q"],
+                 ["verify", "decomp", "--word", "1,2"],
+                 ["verify", "decomp", "--family", "hat_e"],
+                 ["verify", "decomp", "--weight", "1,1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2

@@ -1,13 +1,17 @@
 """Lowest-weight modules, matrix coefficients, tensor-module action."""
 
+import hashlib
 import random
 
 import pytest
 
-from qpbw.coordring import (LWModule, MatCoef, act_on_tensor, build_irrep,
-                            fundamental_modules, verify_intertwiner)
+from qpbw.coordring import (_SUB_FORMS, LWModule, MatCoef, _form_words,
+                            _mat_inverse, _verma_f, act_on_tensor,
+                            build_irrep, fundamental_modules,
+                            verify_intertwiner)
 from qpbw.fock import FockVector
-from qpbw.rootdata import CartanType
+from qpbw.pairing import words_of_weight
+from qpbw.rootdata import CartanType, weights_of_height
 from qpbw.scalars import Scalar
 from qpbw.uqcore import UElement
 
@@ -123,3 +127,95 @@ def test_verify_intertwiner_a2_smoke():
     ct = CartanType("A2")
     rep = verify_intertwiner(ct, (1, 0, 1), (0, 1, 0), 2)
     assert rep and all(r["pass"] for r in rep)
+
+
+# sha256 of the basis, the per-weight Gram rows and the generator matrices,
+# pinned from the reference build (every ordering of each weight's letters,
+# one full Gram inversion per candidate word): the fast build must
+# reproduce it exactly
+MODULE_DIGESTS = {
+    ("G2", (0, -1)):
+        "47cb23122647a0bb23ecd5f566ee67b8da74ca46cc525341860dc6a7119b7694",
+    ("A2", (-2, -2)):
+        "31b8c767fa5663ffbe58881687c6a5aec099c91953c98a7637a1766a9feabb07",
+    ("B2", (0, -3)):
+        "b1654f9490186ff51cf6cae361607f6ba1b4b4d1a834e43ee9b24a1baadbe8bd",
+    ("G2", (-1, 0)):
+        "c8fee460cf886cd801ab7592bfb2981452274268a42ec23c4c3e68028cd4ae1a",
+}
+
+
+def _module_digest(V):
+    parts = [repr(V.basis),
+             repr([[[str(x) for x in row] for row in V._gram[g]]
+                   for g in V.weights])]
+    for m in V.e_mats + V.f_mats:
+        parts.append(repr([[str(x) for x in row] for row in m]))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def _exhaustive_select(V, gamma):
+    # the greedy selection by one full Gram inversion per candidate word
+    sel, rows = [], []
+    for w in words_of_weight(V.ct, gamma):
+        cand = sel + [w]
+        gram = [[_form_words(V.ct, V.lam, a, b) for b in cand]
+                for a in cand]
+        try:
+            _mat_inverse(gram)
+        except ValueError:
+            continue
+        sel, rows = cand, gram
+    return sel, rows
+
+
+def test_select_words_matches_exhaustive_gram_inversion():
+    # A2 (-2,-1) first: it has weights of multiplicity 2 among 3 or more
+    # words, so a wrong rank test or inverse update fails there within
+    # milliseconds instead of in a long build
+    for name, lam in (("A2", (-2, -1)), ("A2", (-2, -2)), ("B2", (0, -3)),
+                      ("G2", (0, -1))):
+        ct = CartanType(name)
+        V = build_irrep(ct, lam)
+        # every weight of the module plus the empty ones just above it
+        gammas = set(V.weights)
+        for g in V.weights:
+            for i in range(ct.rank):
+                gammas.add(tuple(a + b for a, b in zip(g, ct.alpha(i))))
+        for gamma in sorted(gammas):
+            got = V._select_words(gamma)
+            assert got == _exhaustive_select(V, gamma), (name, lam, gamma)
+            assert got[0] == V.words.get(gamma, [])
+
+
+def test_form_recursion_matches_f_chain():
+    # <x v, y v> = coefficient of v in f_{x_m} ... f_{x_1} e_y v, which is
+    # zero when x and y differ in weight
+    for name, lam in (("A2", (-1, -1)), ("B2", (0, -3)), ("G2", (-1, 0))):
+        ct = CartanType(name)
+        words = [w for h in range(5) for gamma in weights_of_height(ct, h)
+                 for w in words_of_weight(ct, gamma)]
+        for x in words:
+            for y in words:
+                vec = {y: ONE}
+                for i in x:
+                    vec = _verma_f(ct, lam, i, vec)
+                assert _form_words(ct, lam, x, y) == \
+                    vec.get((), Scalar.from_int(0)), (name, x, y)
+
+
+def test_modules_match_pinned_digests():
+    for (name, lam), digest in MODULE_DIGESTS.items():
+        V = build_irrep(CartanType(name), lam)
+        assert _module_digest(V) == digest, (name, lam)
+
+
+def test_g2_adjoint_module():
+    V = build_irrep(CartanType("G2"), (-1, 0))
+    assert V.dim == 14
+    assert len(V.weights) == 13     # six long roots, six short roots, zero
+
+
+def test_sub_form_memo_lives_for_one_build():
+    build_irrep(CartanType("B2"), (-1, -1))
+    assert _SUB_FORMS == {}

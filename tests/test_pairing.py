@@ -1,13 +1,14 @@
 """Drinfeld pairing, canonical coordinates, and the Serre-ideal oracle."""
 
 import random
+from itertools import permutations
 
 import pytest
 
 from qpbw.pairing import Pairing, canonical_coords, eq_mod_serre, \
-    is_zero_mod_serre
+    is_zero_mod_serre, words_of_weight
 from qpbw.pbw import pbw_coords, pbw_monomial
-from qpbw.rootdata import CartanType
+from qpbw.rootdata import CartanType, weights_of_height
 from qpbw.scalars import Scalar, c_const, qint_scalar
 from qpbw.uqcore import UElement, divided_e_power
 
@@ -127,3 +128,21 @@ def test_tau_rejects_wrong_sides():
     pr = Pairing(ct)
     with pytest.raises(ValueError):
         pr.tau(UElement.f(ct, 0), UElement.f(ct, 0))
+
+
+def test_words_of_weight_are_the_distinct_orderings():
+    for name in ("A1", "A2", "A3", "B2", "G2"):
+        ct = CartanType(name)
+        for h in range(8):
+            for ga in weights_of_height(ct, h):
+                letters = [i for i, m in enumerate(ga) for _ in range(m)]
+                assert words_of_weight(ct, ga) == \
+                    sorted(set(permutations(letters))), (name, ga)
+    assert words_of_weight(CartanType("A2"), (0, 0)) == [()]
+
+
+def test_words_of_weight_rejects_negative_coordinates():
+    ct = CartanType("B2")
+    for ga in ((-1, 0), (2, -1), (-1, -1)):
+        with pytest.raises(ValueError):
+            words_of_weight(ct, ga)

@@ -3,7 +3,8 @@
 from qpbw import pbw
 from qpbw.braid import FAMILIES
 from qpbw.pairing import eq_mod_serre
-from qpbw.rootdata import CartanType, all_reduced_words, kostant_count
+from qpbw.rootdata import (CartanType, all_reduced_words, kostant_count,
+                           weights_of_height)
 from qpbw.scalars import Scalar, qfact_scalar, qint_scalar
 from qpbw.uqcore import UElement
 
@@ -41,24 +42,10 @@ def test_indices_of_weight_counts():
         ct = CartanType(name)
         for word in all_reduced_words(ct, ct.longest_word()):
             for h in range(1, 5):
-                for ga in _weights_of_height(ct, h):
+                for ga in weights_of_height(ct, h):
                     idx = pbw.indices_of_weight(ct, "ehat", word, ga)
                     assert len(idx) == kostant_count(ct, ga)
                     assert idx == sorted(idx)
-
-
-def _weights_of_height(ct, h):
-    out = []
-
-    def rec(i, rem, acc):
-        if i == ct.rank:
-            if rem == 0:
-                out.append(tuple(acc))
-            return
-        for c in range(rem + 1):
-            rec(i + 1, rem - c, acc + [c])
-    rec(0, h, [])
-    return out
 
 
 def test_transition_identity_same_word():
@@ -128,7 +115,7 @@ def _blocks_up_to(ct, wa, wb, height, cold=False):
     out = {}
     for family in FAMILIES:
         for h in range(1, height + 1):
-            for ga in _weights_of_height(ct, h):
+            for ga in weights_of_height(ct, h):
                 if cold:
                     pbw.clear_store()
                 out[family, ga] = pbw.transition_matrix(ct, family, wa, wb,

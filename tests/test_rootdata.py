@@ -4,7 +4,7 @@ import pytest
 
 from qpbw.rootdata import (CartanType, all_reduced_words, format_word,
                            kostant_count, parse_word, prefix_roots,
-                           suffix_roots)
+                           suffix_roots, weights_of_height)
 
 
 def alpha(ct, *idx):
@@ -117,3 +117,30 @@ def test_kostant_count():
 def test_word_serialization():
     assert format_word((0, 1, 0)) == "1,2,1"
     assert parse_word("1,2,1") == (0, 1, 0)
+
+
+def _old_weights_of_height(ct, h):
+    # the enumeration that coordring, cli and test_pbw each kept a copy of
+    out = []
+
+    def rec(i, rem, acc):
+        if i == ct.rank - 1:
+            out.append(tuple(acc + [rem]))
+            return
+        for v in range(rem + 1):
+            rec(i + 1, rem - v, acc + [v])
+
+    rec(0, h, [])
+    return sorted(out)
+
+
+def test_weights_of_height_matches_old_enumeration():
+    for name in ("A1", "A2", "A3", "B2", "G2"):
+        ct = CartanType(name)
+        for h in range(7):
+            got = weights_of_height(ct, h)
+            assert got == _old_weights_of_height(ct, h), (name, h)
+            assert all(sum(g) == h and min(g) >= 0 for g in got)
+            assert len(set(got)) == len(got)
+        assert weights_of_height(ct, 0) == [ct.zero()]
+        assert weights_of_height(ct, -1) == []
