@@ -4,8 +4,8 @@ Soibelman modules over the quantized coordinate algebra."""
 
 from .scalars import LaurentPoly, Scalar, c_const, d_const, qbinom, qfact, \
     qint
-from .rootdata import CartanType, all_reduced_words, kostant_count, \
-    prefix_roots, suffix_roots
+from .rootdata import CartanType, all_reduced_words, exponent_weight, \
+    kostant_count, prefix_roots, suffix_roots
 from .uqcore import UElement, UTensor
 from .pairing import Pairing, canonical_coords, eq_mod_serre
 from .braid import apply_word, root_vector, root_vector_power

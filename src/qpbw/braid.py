@@ -26,16 +26,38 @@ Root-vector families for a reduced word i = (i_1, ..., i_m):
     ftilde_r = Tdot_{i_m}^{-1} ... Tdot_{i_{r+1}}^{-1} (f_{i_r})
 
 Each lies in U^+ (resp. U^-) modulo the Serre ideal; after every braid step
-the representative is projected back onto pure e-words (resp. f-words),
-which is exact modulo Serre because the triangular normal form splits the
-Serre ideal into its one-sided components.
+the representative is projected back onto pure e-words, which is exact
+modulo Serre because the triangular normal form splits the Serre ideal
+into its one-sided components.
+
+Only the e-side chains are run, and only the part of each step that
+survives that projection is computed.  Right multiplication in the normal
+form never shortens the f-word of a term, so a term that has picked up an
+f-letter inside a product of generator images still has one when the
+product is done and is dropped by the projection; it is dropped as soon as
+it appears (plus=True on the operators).  Terms with a k-part but no
+f-letter are kept until the step ends, because a later commutator can move
+their k-part back to zero.
+
+The f-side families come from the e-side ones through the Q(q)-linear
+anti-involution psi (e_i <-> f_i, k fixed; UElement.psi).  On the
+generator images psi(That_i(x)) = Tdot_i(psi(x)) and psi(That_i^{-1}(x)) =
+Tdot_i^{-1}(psi(x)) hold term for term, and psi swaps the two projections,
+so
+
+    fdot_r = psi(ehat_r),    fhat_r = psi(edot_r),
+    ftilde_r = psi(That_{i_m}^{-1} ... That_{i_{r+1}}^{-1} (e_{i_r}))
+
+with the same representatives the f-side chains would produce.  On pure
+words psi reverses the word and swaps e and f.
 """
 
 from __future__ import annotations
 
 from .rootdata import CartanType
 from .scalars import Scalar, qfact_scalar
-from .uqcore import UElement, divided_e_power, divided_f_power
+from .uqcore import (UElement, _add_term, divided_e_power,
+                     divided_f_power)
 
 E_FAMILIES = ("edot", "ehat", "etilde")
 F_FAMILIES = ("fdot", "fhat", "ftilde")
@@ -109,34 +131,40 @@ def _gen_image(ct, kind, i, side, j):
     raise ValueError(kind)
 
 
-def _apply(ct, kind, i, x: UElement) -> UElement:
+def _apply(ct, kind, i, x: UElement, plus=False) -> UElement:
     tab = _gen_table(ct, kind)
-    out = UElement.zero(ct)
+    times = UElement.mul_plus if plus else UElement.__mul__
+    acc = {}
     for (F, kappa, E), c in x.terms.items():
         y = UElement.one(ct)
         for j in F:
-            y = y * tab[(i, "f", j)]
-        y = y * UElement.k(ct, ct.reflect_q(i, kappa))
+            y = times(y, tab[(i, "f", j)])
+        y = times(y, UElement.k(ct, ct.reflect_q(i, kappa)))
         for j in E:
-            y = y * tab[(i, "e", j)]
-        out = out + y.scale(c)
-    return out
+            y = times(y, tab[(i, "e", j)])
+        for m, v in y.terms.items():
+            _add_term(acc, m, v * c)
+    out = UElement(ct, acc)
+    return project_plus(out) if plus else out
 
 
-def t_dot(ct, i, x):
-    return _apply(ct, "dot", i, x)
+# With plus=True each operator returns project_plus of its image, computed
+# without the terms that the projection drops.
+
+def t_dot(ct, i, x, plus=False):
+    return _apply(ct, "dot", i, x, plus)
 
 
-def t_hat(ct, i, x):
-    return _apply(ct, "hat", i, x)
+def t_hat(ct, i, x, plus=False):
+    return _apply(ct, "hat", i, x, plus)
 
 
-def t_dot_inv(ct, i, x):
-    return _apply(ct, "dot_inv", i, x)
+def t_dot_inv(ct, i, x, plus=False):
+    return _apply(ct, "dot_inv", i, x, plus)
 
 
-def t_hat_inv(ct, i, x):
-    return _apply(ct, "hat_inv", i, x)
+def t_hat_inv(ct, i, x, plus=False):
+    return _apply(ct, "hat_inv", i, x, plus)
 
 
 def apply_word(ct, kind, word, x: UElement, inverse=False) -> UElement:
@@ -154,13 +182,20 @@ def apply_word(ct, kind, word, x: UElement, inverse=False) -> UElement:
 
 
 def validate_inverses(ct: CartanType):
-    """Round-trip check of the inverse tables modulo the Serre ideal."""
+    """Round-trip check of the inverse tables modulo the Serre ideal;
+    raises ValueError naming the operator, i, j and the generator."""
     from .pairing import eq_mod_serre
     for i in range(ct.rank):
         for j in range(ct.rank):
-            for gen in (UElement.e(ct, j), UElement.f(ct, j)):
-                assert eq_mod_serre(t_dot_inv(ct, i, t_dot(ct, i, gen)), gen)
-                assert eq_mod_serre(t_hat_inv(ct, i, t_hat(ct, i, gen)), gen)
+            for side, gen in (("e", UElement.e(ct, j)),
+                              ("f", UElement.f(ct, j))):
+                for kind, fwd, inv in (("dot", t_dot, t_dot_inv),
+                                       ("hat", t_hat, t_hat_inv)):
+                    if not eq_mod_serre(inv(ct, i, fwd(ct, i, gen)), gen):
+                        raise ValueError(
+                            "%s: T_%s^-1 T_%s (%s_%d) != %s_%d for i=%d, "
+                            "j=%d" % (ct.name, kind, kind, side, j + 1,
+                                      side, j + 1, i + 1, j + 1))
 
 
 def project_plus(x: UElement) -> UElement:
@@ -171,13 +206,10 @@ def project_plus(x: UElement) -> UElement:
                            if not m[0] and m[1] == zero})
 
 
-def project_minus(x: UElement) -> UElement:
-    zero = x.ct.zero()
-    return UElement(x.ct, {m: c for m, c in x.terms.items()
-                           if not m[2] and m[1] == zero})
-
-
 _root_vectors = {}
+
+# fdot and fhat are the psi images of these stored e-side root vectors
+_PSI_PARTNERS = {"fdot": "ehat", "fhat": "edot"}
 
 
 def root_vector(ct: CartanType, family: str, word, r: int) -> UElement:
@@ -191,20 +223,29 @@ def root_vector(ct: CartanType, family: str, word, r: int) -> UElement:
         return v
     if family not in FAMILIES:
         raise ValueError("unknown family %r" % family)
-    eside = family in E_FAMILIES
-    proj = project_plus if eside else project_minus
-    i_r = word[r - 1]
-    x = UElement.e(ct, i_r) if eside else UElement.f(ct, i_r)
-    if family in ("edot", "fdot"):
+    if family in _PSI_PARTNERS:
+        v = root_vector(ct, _PSI_PARTNERS[family], word, r).psi()
+    elif family == "ftilde":
+        v = _e_chain(ct, "etilde_hat", word, r).psi()
+    else:
+        v = _e_chain(ct, family, word, r)
+    _root_vectors[key] = v
+    return v
+
+
+def _e_chain(ct, chain, word, r):
+    """The e-side braid chain of the r-th root vector, projected onto pure
+    e-words after every step; chain is edot, ehat, etilde or etilde_hat
+    (That^{-1} in place of Tdot^{-1})."""
+    x = UElement.e(ct, word[r - 1])
+    if chain in ("edot", "ehat"):
+        op = t_dot if chain == "edot" else t_hat
         for s in range(r - 2, -1, -1):
-            x = proj(t_dot(ct, word[s], x))
-    elif family in ("ehat", "fhat"):
-        for s in range(r - 2, -1, -1):
-            x = proj(t_hat(ct, word[s], x))
-    else:  # etilde, ftilde
+            x = op(ct, word[s], x, plus=True)
+    else:
+        op = t_dot_inv if chain == "etilde" else t_hat_inv
         for s in range(r, len(word)):
-            x = proj(t_dot_inv(ct, word[s], x))
-    _root_vectors[key] = x
+            x = op(ct, word[s], x, plus=True)
     return x
 
 

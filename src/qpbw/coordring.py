@@ -280,7 +280,7 @@ class LWModule:
         gram = self._gram[gamma]
         cols = [{s: gram[s][j] for s in range(len(sel))}
                 for j in range(len(sel))]
-        sol = solve_linear(cols, target)
+        sol = solve_linear(cols, [target])[0]
         return {self.index[(gamma, sel[j])]: c
                 for j, c in enumerate(sol) if not c.is_zero()}
 

@@ -7,8 +7,9 @@ The rank-1 module has basis {p(n) : n >= 0} with generator action
 
 and the module attached to a reduced word i = (i_1, ..., i_m) has basis
 p_i(n) = p_{i_1}(n_1) x ... x p_{i_m}(n_m).  A vector is graded by
-gamma(n) = sum_r n_r beta_r with beta_r the r-th suffix root, and the
-sigma-operators act on the weight-gamma component by q^{-(lambda, gamma)}.
+gamma(n) = sum_r n_r beta_r with beta_r the r-th suffix root (rootdata's
+exponent_weight with roots="suffix"), and the sigma-operators act on the
+weight-gamma component by q^{-(lambda, gamma)}.
 
 The basis-change map between the modules of two reduced words reuses the
 transition matrix of the hat PBW family together with ratios of the
@@ -19,9 +20,8 @@ performed inside d(n) (plain q versus q_i) is selectable; see D_READINGS.
 
 from __future__ import annotations
 
-from .pbw import (emul_constants, prefix_roots, stored_block,
-                  transition_matrix)
-from .rootdata import CartanType, suffix_roots
+from .pbw import emul_constants, stored_block, transition_matrix
+from .rootdata import CartanType, exponent_weight
 from .scalars import ONE, Scalar, d_const, qfact_scalar
 
 DEFAULT_HEIGHT = 5
@@ -102,18 +102,12 @@ class FockVector:
     def __hash__(self):
         return hash((self.word, frozenset(self.terms.items())))
 
-    def gamma(self, n):
-        """Module weight of the basis vector p(n): sum n_r beta_r over the
-        suffix roots of the word."""
-        roots = suffix_roots(self.ct, self.word)
-        return tuple(sum(n[r] * roots[r][t] for r in range(len(n)))
-                     for t in range(self.ct.rank))
-
     def components(self) -> dict:
         """Split into weight-homogeneous components, keyed by gamma."""
         out = {}
         for n, c in self.terms.items():
-            out.setdefault(self.gamma(n), {})[n] = c
+            gamma = exponent_weight(self.ct, self.word, n, "suffix")
+            out.setdefault(gamma, {})[n] = c
         return {g: FockVector(self.ct, self.word, t)
                 for g, t in out.items()}
 
@@ -132,7 +126,7 @@ class FockVector:
 def _check_height(ct, v: FockVector, height):
     bound = DEFAULT_HEIGHT if height is None else height
     for n in v.terms:
-        h = ct.height(v.gamma(n))
+        h = ct.height(exponent_weight(ct, v.word, n, "suffix"))
         if h > bound:
             raise TruncationError(
                 "term of weight height %d exceeds the bound %d" % (h, bound))
@@ -183,13 +177,6 @@ def leg_act(ct, g, r, v: FockVector) -> FockVector:
     return FockVector(ct, v.word, terms)
 
 
-def _uplus_weight(ct, word, n):
-    """Weight of the hat PBW monomial with exponents n (prefix roots)."""
-    roots = prefix_roots(ct, word)
-    return tuple(sum(n[r] * roots[r][t] for r in range(len(n)))
-                 for t in range(ct.rank))
-
-
 def _koy_block(ct, from_word, to_word, gamma, d_reading):
     """Rows {n: {n': a_{nn'} d_j(n) / d_i(n')}} of the basis change at
     weight gamma, kept in the PBW block store per reading."""
@@ -220,8 +207,8 @@ def koy_transform(ct: CartanType, from_word, to_word, v: FockVector,
         return v
     terms = {}
     for n, c in v.terms.items():
-        rows = _koy_block(ct, from_word, to_word,
-                          _uplus_weight(ct, from_word, n), d_reading)
+        gamma = exponent_weight(ct, from_word, n, "prefix")
+        rows = _koy_block(ct, from_word, to_word, gamma, d_reading)
         for n2, a in rows[n].items():
             coeff = c * a
             if n2 in terms:
@@ -236,7 +223,8 @@ def sigma_scalar(ct: CartanType, lam, v: FockVector) -> FockVector:
     weight-gamma component is multiplied by q^{-(lambda, gamma)}."""
     terms = {}
     for n, c in v.terms.items():
-        pairing = ct.pair_pq(lam, v.gamma(n))
+        gamma = exponent_weight(ct, v.word, n, "suffix")
+        pairing = ct.pair_pq(lam, gamma)
         if pairing.denominator != 1:
             raise ValueError("non-integral pairing %s" % pairing)
         terms[n] = c * Scalar.q_power(-int(pairing))
@@ -257,7 +245,8 @@ def conj1_operator(ct: CartanType, word, i: int, v: FockVector,
     bound = _check_height(ct, v, height)
     terms = {}
     for n, c in v.terms.items():
-        consts = emul_constants(ct, word, i, _uplus_weight(ct, word, n))
+        gamma = exponent_weight(ct, word, n, "prefix")
+        consts = emul_constants(ct, word, i, gamma)
         dn = d_word_const(ct, word, n, d_reading)
         for (n0, n2), cc in consts.items():
             if n0 != n:

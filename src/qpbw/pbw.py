@@ -37,7 +37,8 @@ from functools import lru_cache
 from .braid import (E_FAMILIES, FAMILIES, FAMILY_ALIASES, F_FAMILIES,
                     root_vector_power)
 from .pairing import Pairing
-from .rootdata import CartanType, prefix_roots, suffix_roots
+from .rootdata import (CartanType, exponent_weight, prefix_roots,
+                       suffix_roots)
 from .scalars import ONE, ZERO, Scalar, c_const, qfact_scalar
 from .uqcore import UElement, _fword_weight
 
@@ -164,16 +165,16 @@ def pbw_coords(ct: CartanType, x: UElement, word, eside=True) -> dict:
 
 # -- exact linear algebra over the Scalar field ----------------------------
 
-def solve_linear(columns, target):
-    """Solve sum_j a_j columns[j] = target exactly; columns and target are
-    dicts keyed by arbitrary row labels.  Returns the coefficient list or
-    raises ValueError if the system is inconsistent or underdetermined."""
+def solve_linear(columns, targets):
+    """Solve sum_j a_j columns[j] = t exactly for every t in targets with
+    one elimination; columns and targets are dicts keyed by arbitrary row
+    labels.  Returns one coefficient list per target, or raises ValueError
+    if the system is underdetermined or some target is not in the span."""
     rows = sorted({r for col in columns for r in col}
-                  | set(target), key=repr)
-    mat = [[col.get(r, ZERO) for col in columns] + [target.get(r, ZERO)]
-           for r in rows]
+                  | {r for t in targets for r in t}, key=repr)
+    mat = [[col.get(r, ZERO) for col in columns]
+           + [t.get(r, ZERO) for t in targets] for r in rows]
     ncols = len(columns)
-    piv_rows = []
     row = 0
     for col in range(ncols):
         piv = next((r for r in range(row, len(mat))
@@ -187,12 +188,12 @@ def solve_linear(columns, target):
             if r != row and not mat[r][col].is_zero():
                 f = mat[r][col]
                 mat[r] = [v - f * w for v, w in zip(mat[r], mat[row])]
-        piv_rows.append(row)
         row += 1
     for r in range(row, len(mat)):
-        if not mat[r][ncols].is_zero():
+        if any(not v.is_zero() for v in mat[r][ncols:]):
             raise ValueError("inconsistent system (element not in span)")
-    return [mat[r][ncols] for r in piv_rows]
+    return [[mat[r][ncols + t] for r in range(ncols)]
+            for t in range(len(targets))]
 
 
 def _family_columns(ct, family, word, gamma, eside):
@@ -203,9 +204,10 @@ def _family_columns(ct, family, word, gamma, eside):
                             eside=eside) for n in idx]
 
 
-def _solve_in_family(idx, columns, coords):
-    sol = solve_linear(columns, coords)
-    return {n: c for n, c in zip(idx, sol) if not c.is_zero()}
+def _solve_in_family(idx, columns, targets):
+    """Each target's coefficients in the family block, zeros dropped."""
+    return [{n: c for n, c in zip(idx, sol) if not c.is_zero()}
+            for sol in solve_linear(columns, targets)]
 
 
 def expand_in_family(ct, x: UElement, family: str, word, eside=None) -> dict:
@@ -217,16 +219,9 @@ def expand_in_family(ct, x: UElement, family: str, word, eside=None) -> dict:
     coords = pbw_coords(ct, x, word, eside=eside)
     if family == ("ehat" if eside else "fhat") or not coords:
         return coords
-    gamma = _weight_of_coords(ct, word, coords)
+    gamma = exponent_weight(ct, word, next(iter(coords)), "prefix")
     return _solve_in_family(*_family_columns(ct, family, word, gamma, eside),
-                            coords)
-
-
-def _weight_of_coords(ct, word, coords):
-    roots = family_roots(ct, "ehat", word)
-    n = next(iter(coords))
-    return tuple(sum(n[r] * roots[r][t] for r in range(len(n)))
-                 for t in range(ct.rank))
+                            [coords])[0]
 
 
 def transition_matrix(ct: CartanType, family: str, from_word, to_word,
@@ -247,15 +242,16 @@ def transition_matrix(ct: CartanType, family: str, from_word, to_word,
 
 def _transition_rows(ct, family, from_word, to_word, gamma):
     eside = family in E_FAMILIES
-    columns = None
-    if family != ("ehat" if eside else "fhat"):
-        columns = _family_columns(ct, family, to_word, gamma, eside)
-    rows = {}
-    for n in indices_of_weight(ct, family, from_word, gamma):
-        mono = pbw_monomial(ct, family, from_word, n)
-        coords = pbw_coords(ct, mono, to_word, eside=eside)
-        rows[n] = _solve_in_family(*columns, coords) if columns else coords
-    return rows
+    rows = {n: pbw_coords(ct, pbw_monomial(ct, family, from_word, n),
+                          to_word, eside=eside)
+            for n in indices_of_weight(ct, family, from_word, gamma)}
+    if family == ("ehat" if eside else "fhat") or not rows:
+        return rows
+    # every source row is a right-hand side of one elimination
+    solved = _solve_in_family(
+        *_family_columns(ct, family, to_word, gamma, eside),
+        list(rows.values()))
+    return dict(zip(rows, solved))
 
 
 def emul_constants(ct: CartanType, word, i: int, gamma) -> dict:

@@ -199,6 +199,21 @@ def prefix_roots(ct: CartanType, word):
     return tuple(out)
 
 
+def exponent_weight(ct: CartanType, word, n, roots):
+    """sum_r n_r beta_r for an exponent vector n along the word, with
+    beta_r the r-th prefix root (roots="prefix") or suffix root
+    (roots="suffix")."""
+    if roots == "prefix":
+        betas = prefix_roots(ct, word)
+    elif roots == "suffix":
+        betas = suffix_roots(ct, word)
+    else:
+        raise ValueError("roots must be 'prefix' or 'suffix', got %r"
+                         % (roots,))
+    return tuple(sum(n[r] * betas[r][t] for r in range(len(n)))
+                 for t in range(ct.rank))
+
+
 def weights_of_height(ct: CartanType, h):
     """Every gamma in Q_+ of height h (nonnegative simple-root coordinates
     summing to h), sorted; empty for a negative h."""

@@ -115,6 +115,19 @@ class UElement:
                 _add_term(acc, m, c * c2)
         return UElement(self.ct, acc)
 
+    def mul_plus(self, other):
+        """The terms of self * other with an empty f-word, computed without
+        the others.  Right multiplication never shortens the f-word, so
+        only the f-free terms of self contribute, and each f_j of other
+        enters through its commutator terms alone."""
+        ct = self.ct
+        start = {m: c for m, c in self.terms.items() if not m[0]}
+        acc = {}
+        for m2, c2 in other.terms.items():
+            for m, c in _rmul_mono(ct, start, m2, plus=True).items():
+                _add_term(acc, m, c * c2)
+        return UElement(ct, acc)
+
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
             return self * other
@@ -122,15 +135,7 @@ class UElement:
 
     def _mul_mono(self, mono):
         """self * (f_F k_kappa e_E) as a term dict."""
-        F, kappa, E = mono
-        cur = {m: c for m, c in self.terms.items()}
-        for j in F:
-            cur = _rmul_f(self.ct, cur, j)
-        if any(kappa):
-            cur = _rmul_k(self.ct, cur, kappa)
-        for j in E:
-            cur = _rmul_e(cur, j)
-        return cur
+        return _rmul_mono(self.ct, self.terms, mono)
 
     def __eq__(self, other):
         return isinstance(other, UElement) and self.ct is other.ct \
@@ -187,6 +192,14 @@ class UElement:
                 x = x * gen_images(ct, "f", j)
             out = out + x.scale(c)
         return out
+
+    def psi(self):
+        """The Q(q)-linear anti-involution e_i <-> f_i fixing every k.  It
+        sends f_F k e_E to f_{rev E} k e_{rev F}, which is again in normal
+        form, and it respects the k- and e-f commutation rules, so it acts
+        monomial by monomial on the free algebra."""
+        return UElement(self.ct, {(E[::-1], kappa, F[::-1]): c
+                                  for (F, kappa, E), c in self.terms.items()})
 
     def a_involution(self):
         """Ring involution q -> q^{-1}, k -> k^{-1}, e_i -> -k_i^{-1} e_i,
@@ -249,6 +262,20 @@ def _mono_sort_key(mono):
 
 # -- right multiplication by generators, on raw term dicts ----------------
 
+def _rmul_mono(ct: CartanType, terms: dict, mono, plus=False) -> dict:
+    """terms * (f_F k_kappa e_E); with plus, the terms are f-free and the
+    f-word extensions, which no later factor can remove, are left out."""
+    F, kappa, E = mono
+    cur = dict(terms)
+    for j in F:
+        cur = _rmul_f(ct, cur, j, plus)
+    if any(kappa):
+        cur = _rmul_k(ct, cur, kappa)
+    for j in E:
+        cur = _rmul_e(cur, j)
+    return cur
+
+
 def _rmul_e(terms: dict, j: int) -> dict:
     return {(F, kappa, E + (j,)): c for (F, kappa, E), c in terms.items()}
 
@@ -262,15 +289,16 @@ def _rmul_k(ct: CartanType, terms: dict, gamma) -> dict:
     return acc
 
 
-def _rmul_f(ct: CartanType, terms: dict, j: int) -> dict:
+def _rmul_f(ct: CartanType, terms: dict, j: int, plus=False) -> dict:
     alpha_j = ct.alpha(j)
     dj = ct.qi(j)
     denom = Scalar.q_power(dj) - Scalar.q_power(-dj)
     acc = {}
     for (F, kappa, E), c in terms.items():
         # f_j passes kappa and all of E, then joins the f-word.
-        shift = -ct.pair_qq(kappa, alpha_j)
-        _add_term(acc, (F + (j,), kappa, E), c * Scalar.q_power(shift))
+        if not plus:
+            shift = -ct.pair_qq(kappa, alpha_j)
+            _add_term(acc, (F + (j,), kappa, E), c * Scalar.q_power(shift))
         # commutator terms, one per e_j letter in E
         for p, i in enumerate(E):
             if i != j:

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from qpbw import braid
 from qpbw.pairing import eq_mod_serre
 from qpbw.rootdata import CartanType, all_reduced_words
@@ -124,3 +126,114 @@ def test_root_vectors_triangular():
                         assert not fw
                     else:
                         assert not ew
+
+
+# -- the pruned e-side chains and the psi-derived f-side families ----------
+
+def _project(x, eside):
+    """Pure e-words (eside) or pure f-words of x, without any k-part."""
+    zero = x.ct.zero()
+    return UElement(x.ct, {m: c for m, c in x.terms.items()
+                           if m[1] == zero and not (m[0] if eside else m[2])})
+
+
+def _unpruned_root_vector(ct, family, word, r):
+    """The chain each family is defined by, run on the full images of the
+    default operators and projected after every step."""
+    eside = family in braid.E_FAMILIES
+    x = (UElement.e if eside else UElement.f)(ct, word[r - 1])
+    if family[1:] in ("dot", "hat"):
+        op = braid.t_dot if family[1:] == "dot" else braid.t_hat
+        for s in range(r - 2, -1, -1):
+            x = _project(op(ct, word[s], x), eside)
+    else:
+        for s in range(r, len(word)):
+            x = _project(braid.t_dot_inv(ct, word[s], x), eside)
+    return x
+
+
+def test_root_vectors_equal_unpruned_chains():
+    for name in ("A2", "B2", "G2", "A3"):
+        ct = CartanType(name)
+        for word in sorted(all_reduced_words(ct, ct.longest_word())):
+            for family in braid.FAMILIES:
+                for r in range(1, len(word) + 1):
+                    want = _unpruned_root_vector(ct, family, word, r)
+                    got = braid.root_vector(ct, family, word, r)
+                    assert got == want, (name, family, word, r)
+
+
+def _mixed_elements(ct, rng, count):
+    out = []
+    for _ in range(count):
+        x = UElement.zero(ct)
+        for _ in range(3):
+            fw, ew = (tuple(rng.randrange(ct.rank)
+                            for _ in range(rng.randint(0, 2)))
+                      for _ in range(2))
+            kap = tuple(rng.randint(-1, 1) for _ in range(ct.rank))
+            c = Scalar.q_power(rng.randint(-2, 2)) + Scalar.from_int(
+                rng.randint(-2, 2))
+            x = x + (UElement.f_word(ct, fw) * UElement.k(ct, kap)
+                     * UElement.e_word(ct, ew)).scale(c)
+        out.append(x)
+    return out
+
+
+def test_psi_is_an_anti_involution():
+    rng = random.Random(5)
+    for name in ("A2", "B2", "G2"):
+        ct = CartanType(name)
+        xs = _mixed_elements(ct, rng, 4)
+        for x in xs:
+            assert x.psi().psi() == x
+        for x, y in zip(xs, xs[1:]):
+            assert (x * y).psi() == y.psi() * x.psi()
+
+
+def test_psi_intertwines_the_two_normalizations():
+    # Tdot_i psi = psi That_i and Tdot_i^-1 psi = psi That_i^-1, exactly
+    rng = random.Random(9)
+    for name in ("A2", "B2", "G2"):
+        ct = CartanType(name)
+        for x in _mixed_elements(ct, rng, 3):
+            i = rng.randrange(ct.rank)
+            assert braid.t_dot(ct, i, x.psi()) == braid.t_hat(ct, i, x).psi()
+            assert braid.t_dot_inv(ct, i, x.psi()) \
+                == braid.t_hat_inv(ct, i, x).psi()
+
+
+def test_plus_is_the_projection_of_the_full_image():
+    rng = random.Random(13)
+    for name in ("A2", "B2", "G2"):
+        ct = CartanType(name)
+        for x in _mixed_elements(ct, rng, 3):
+            i = rng.randrange(ct.rank)
+            for op in (braid.t_dot, braid.t_hat, braid.t_dot_inv,
+                       braid.t_hat_inv):
+                assert op(ct, i, x, plus=True) \
+                    == braid.project_plus(op(ct, i, x))
+
+
+def test_default_operators_keep_the_full_image():
+    for name in ("A1", "A2", "B2", "G2"):
+        ct = CartanType(name)
+        for i in range(ct.rank):
+            got = braid.t_hat(ct, i, UElement.e(ct, i))
+            assert got == -(UElement.f(ct, i) * UElement.k_i(ct, i, -1))
+            assert braid.t_hat(ct, i, UElement.e(ct, i), plus=True) \
+                == UElement.zero(ct)
+
+
+def test_validate_inverses_names_a_corrupted_entry():
+    ct = CartanType("B2")
+    tab = braid._gen_table(ct, "hat_inv")
+    key = (1, "e", 0)
+    saved = tab[key]
+    tab[key] = saved + UElement.e(ct, 0)
+    try:
+        with pytest.raises(ValueError, match=r"T_hat.*e_1.*i=2, j=1"):
+            braid.validate_inverses(ct)
+    finally:
+        tab[key] = saved
+    braid.validate_inverses(ct)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from qpbw import cli
+from qpbw import braid, cli, pbw
+from qpbw.scalars import ONE, Scalar
+from qpbw.uqcore import UElement
 
 
 def run(argv, capsys):
@@ -177,3 +179,57 @@ def test_removed_flags_exit_2():
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+
+
+
+def _per_letter(c):
+    """c times tau(e_i, f_i) = 1/(q - q^-1), the canonical coordinate of c
+    times a single letter of A2."""
+    return str(c / (Scalar.q_power(1) - Scalar.q_power(-1)))
+
+
+def test_transfer_failure_carries_a_witness(capsys, monkeypatch):
+    right = pbw.pbw_monomial
+
+    def wrong(ct, family, word, n):
+        return right(ct, family, word, n).scale(Scalar.q_power(1))
+
+    argv = ["verify", "transfer", "--type", "A2", "--height", "1",
+            "--format", "json"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and json.loads(out)["failures"] == []
+    monkeypatch.setattr(pbw, "pbw_monomial", wrong)
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    assert len(failures) == 4
+    for case in failures:
+        # lhs - q rhs is (1 - q) times a single f-letter modulo Serre
+        assert case["witness"]["coord"] in ("f1", "f2")
+        assert case["witness"]["diff"] == _per_letter(ONE - Scalar.q_power(1))
+
+
+def test_braid_failures_carry_witnesses(monkeypatch):
+    right_word, right_hat = braid.apply_word, braid.t_hat
+
+    def wrong_word(ct, kind, word, x, inverse=False):
+        y = right_word(ct, kind, word, x, inverse)
+        return y + UElement.e(ct, 0) if word[0] == 1 else y
+
+    def wrong_hat(ct, i, x, plus=False):
+        return right_hat(ct, i, x, plus) + UElement.f(ct, 1)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(braid, "apply_word", wrong_word)
+        report = cli.suite_braid(types=("A2",), n_random=0)
+    assert report and not any(case["pass"] for case in report)
+    for case in report:
+        assert case["witness"] == {"coord": "e1",
+                                   "diff": _per_letter(-ONE)}
+    monkeypatch.setattr(braid, "t_hat", wrong_hat)
+    report = [case for case in cli.suite_braid(types=("A2",), n_random=3)
+              if case["check"].startswith("dThT")]
+    assert len(report) == 3
+    for case in report:
+        assert not case["pass"]
+        assert case["witness"] == {"coord": "f2", "diff": _per_letter(ONE)}

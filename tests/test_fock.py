@@ -5,7 +5,7 @@ import pytest
 from qpbw import fock, pbw
 from qpbw.fock import FockVector, TruncationError, conj1_operator, \
     koy_transform, sigma_scalar, sl2_act
-from qpbw.rootdata import CartanType, all_reduced_words
+from qpbw.rootdata import CartanType, all_reduced_words, exponent_weight
 from qpbw.scalars import Scalar
 
 ONE = Scalar.from_int(1)
@@ -76,7 +76,7 @@ def test_koy_transform_two_terms():
     v = basis(ct, (1, 0, 1), (0, 1, 0))
     got = koy_transform(ct, (1, 0, 1), (0, 1, 0), v)
     assert len(got.terms) == 2
-    assert got.gamma((0, 1, 0)) == (1, 1)
+    assert exponent_weight(ct, got.word, (0, 1, 0), "suffix") == (1, 1)
 
 
 def test_sigma_scalar():
@@ -106,7 +106,7 @@ def test_conj1_weight_shift():
     v = basis(ct, word, (1, 0, 0))
     got = conj1_operator(ct, word, 1, v)
     for n in got.terms:
-        assert got.gamma(n) == (1, 1)
+        assert exponent_weight(ct, word, n, "suffix") == (1, 1)
 
 
 def test_conj1_sigma_commutation():

@@ -1,5 +1,7 @@
 """PBW monomials, weight blocks, transition matrices, e-multiplication."""
 
+import pytest
+
 from qpbw import pbw
 from qpbw.braid import FAMILIES
 from qpbw.pairing import eq_mod_serre
@@ -145,3 +147,29 @@ def test_repeated_calls_return_the_stored_block():
     assert again is first
     consts = pbw.emul_constants(ct, [0, 1, 0], 1, [1, 0])
     assert pbw.emul_constants(ct, (0, 1, 0), 1, (1, 0)) is consts
+
+
+def test_solve_linear_many_targets_at_once():
+    # one elimination with every target as a right-hand side gives what a
+    # solve per target gives, on a non-hat block of each rank-2 type
+    for name in ("A2", "B2", "G2"):
+        ct = CartanType(name)
+        words = sorted(all_reduced_words(ct, ct.longest_word()))
+        ga = (2, 3) if name == "G2" else (2, 2)
+        idx, cols = pbw._family_columns(ct, "edot", words[1], ga, True)
+        targets = [pbw.pbw_coords(ct, pbw.pbw_monomial(ct, "edot",
+                                                       words[0], n),
+                                  words[1])
+                   for n in pbw.indices_of_weight(ct, "edot", words[0], ga)]
+        together = pbw.solve_linear(cols, targets)
+        assert together == [pbw.solve_linear(cols, [t])[0] for t in targets]
+        # the solutions reproduce the targets
+        for sol, t in zip(together, targets):
+            got = {}
+            for a, col in zip(sol, cols):
+                for key, v in col.items():
+                    got[key] = got.get(key, Scalar.from_int(0)) + a * v
+            assert {k: v for k, v in got.items() if not v.is_zero()} == t
+        bad = {("not", "in", "span"): ONE}
+        with pytest.raises(ValueError, match="not in span"):
+            pbw.solve_linear(cols, targets + [bad])

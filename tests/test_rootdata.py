@@ -2,9 +2,9 @@
 
 import pytest
 
-from qpbw.rootdata import (CartanType, all_reduced_words, format_word,
-                           kostant_count, parse_word, prefix_roots,
-                           suffix_roots, weights_of_height)
+from qpbw.rootdata import (CartanType, all_reduced_words, exponent_weight,
+                           format_word, kostant_count, parse_word,
+                           prefix_roots, suffix_roots, weights_of_height)
 
 
 def alpha(ct, *idx):
@@ -144,3 +144,46 @@ def test_weights_of_height_matches_old_enumeration():
             assert len(set(got)) == len(got)
         assert weights_of_height(ct, 0) == [ct.zero()]
         assert weights_of_height(ct, -1) == []
+
+
+# The three weight helpers that exponent_weight replaced.
+
+def _old_uplus_weight(ct, word, n):
+    roots = prefix_roots(ct, word)
+    return tuple(sum(n[r] * roots[r][t] for r in range(len(n)))
+                 for t in range(ct.rank))
+
+
+def _old_weight_of_coords(ct, word, coords):
+    return _old_uplus_weight(ct, word, next(iter(coords)))
+
+
+def _old_fock_gamma(ct, word, n):
+    roots = suffix_roots(ct, word)
+    return tuple(sum(n[r] * roots[r][t] for r in range(len(n)))
+                 for t in range(ct.rank))
+
+
+def _exponents_up_to(m, h):
+    if m == 0:
+        return [()]
+    return [(k,) + rest for k in range(h + 1)
+            for rest in _exponents_up_to(m - 1, h - k)]
+
+
+def test_exponent_weight_equals_the_old_helpers():
+    for name in ("A1", "A2", "A3", "B2", "G2"):
+        ct = CartanType(name)
+        for word in all_reduced_words(ct, ct.longest_word()):
+            for n in _exponents_up_to(len(word), 4):
+                prefix = exponent_weight(ct, word, n, "prefix")
+                assert prefix == _old_uplus_weight(ct, word, n)
+                assert prefix == _old_weight_of_coords(ct, word, {n: None})
+                assert exponent_weight(ct, word, n, "suffix") \
+                    == _old_fock_gamma(ct, word, n)
+
+
+def test_exponent_weight_needs_a_root_choice():
+    ct = CartanType("A2")
+    with pytest.raises(ValueError):
+        exponent_weight(ct, (0, 1, 0), (1, 0, 0), "hat")
