@@ -215,6 +215,24 @@ def _serre_case(check, lhs, rhs):
             "witness": {"coord": mono_str(coord), "diff": str(diff)}}
 
 
+def _fock_witness(lhs, rhs):
+    """The first exponent tuple where two vectors along one word differ,
+    with both coefficients, or None when they are equal."""
+    for n in sorted(set(lhs.terms) | set(rhs.terms)):
+        a, b = lhs.terms.get(n, ZERO), rhs.terms.get(n, ZERO)
+        if a != b:
+            return {"exps": list(n), "lhs": str(a), "rhs": str(b)}
+    return None
+
+
+def _fock_case(check, lhs, rhs):
+    """A case deciding lhs = rhs for Fock vectors; a failing case carries
+    the first differing coordinate, computed only on failure."""
+    if lhs == rhs:
+        return {"check": check, "pass": True}
+    return {"check": check, "pass": False, "witness": _fock_witness(lhs, rhs)}
+
+
 def _braid_word_pair(ct, i, j):
     m = ct.braid_order(i, j)
     w1 = tuple((i, j)[r % 2] for r in range(m))
@@ -449,11 +467,16 @@ def suite_koy(types=("A2", "B2"), height=3, count_height=5, d_reading="qi"):
         ch = count_height if ct.rank <= 2 else min(count_height, 3)
         for word in words:
             def count_case(ct=ct, word=word, ch=ch):
-                ok = all(len(pbw.indices_of_weight(ct, "ehat", word, ga))
-                         == kostant_count(ct, ga)
-                         for ga in _weights_up_to(ct, ch))
-                return {"check": "kostant counts %s %s"
-                        % (ct.name, format_word(word)), "pass": ok}
+                out = {"check": "kostant counts %s %s"
+                       % (ct.name, format_word(word)), "pass": True}
+                for ga in _weights_up_to(ct, ch):
+                    got = len(pbw.indices_of_weight(ct, "ehat", word, ga))
+                    if got != kostant_count(ct, ga):
+                        out["pass"] = False
+                        out["witness"] = {"weight": list(ga), "indices": got,
+                                          "kostant": kostant_count(ct, ga)}
+                        break
+                return out
             cases.append(count_case)
         for wa in words:
             for wb in words:
@@ -463,20 +486,22 @@ def suite_koy(types=("A2", "B2"), height=3, count_height=5, d_reading="qi"):
                     def rt_case(ct=ct, wa=wa, wb=wb, ga=ga):
                         fwd = pbw.transition_matrix(ct, "ehat", wa, wb, ga)
                         bwd = pbw.transition_matrix(ct, "ehat", wb, wa, ga)
-                        ok = True
-                        for n, row in fwd.items():
+                        out = {"check": "round trip %s %s<->%s at %s"
+                               % (ct.name, format_word(wa), format_word(wb),
+                                  list(ga)), "pass": True}
+                        for n in sorted(fwd):
                             acc = {}
-                            for n2, c in row.items():
+                            for n2, c in fwd[n].items():
                                 for n3, c2 in bwd[n2].items():
-                                    cur = acc.get(n3, ZERO) + c * c2
-                                    acc[n3] = cur
-                            for n3, c in acc.items():
-                                want = ONE if n3 == n else ZERO
-                                if c != want:
-                                    ok = False
-                        return {"check": "round trip %s %s<->%s at %s"
-                                % (ct.name, format_word(wa), format_word(wb),
-                                   list(ga)), "pass": ok}
+                                    acc[n3] = acc.get(n3, ZERO) + c * c2
+                            got = fock.FockVector(ct, wa, acc)
+                            bad = _fock_witness(
+                                got, fock.FockVector.basis(ct, wa, n))
+                            if bad:
+                                out["pass"] = False
+                                out["witness"] = dict(src=list(n), **bad)
+                                break
+                        return out
                     cases.append(rt_case)
         # module-level basis change round trips on basis vectors
         wa, wb = words[0], words[1]
@@ -489,8 +514,8 @@ def suite_koy(types=("A2", "B2"), height=3, count_height=5, d_reading="qi"):
                         ct, wb, wa,
                         fock.koy_transform(ct, wa, wb, v, d_reading, 20),
                         d_reading, 20)
-                    return {"check": "koy round trip %s n=%s"
-                            % (ct.name, list(n)), "pass": rt == v}
+                    return _fock_case("koy round trip %s n=%s"
+                                      % (ct.name, list(n)), rt, v)
                 cases.append(fock_case)
     return [case() for case in cases]
 
@@ -523,11 +548,14 @@ def suite_conj1(types=("A2", "B2"), height=3, d_reading="qi", ladder_n=8):
                                 fock.koy_transform(ct, base, other, v,
                                                    d_reading, inner),
                                 d_reading, inner)
-                            return {"check": "conj1 %s i=%d n=%s via %s"
-                                    % (ct.name, i + 1, list(n),
-                                       format_word(other)),
-                                    "pass": lhs == rhs}
+                            return _fock_case(
+                                "conj1 %s i=%d n=%s via %s"
+                                % (ct.name, i + 1, list(n),
+                                   format_word(other)), lhs, rhs)
                         cases.append(case)
+    if not cases and "A1" not in types:
+        # the ladder alone decides nothing on the requested types
+        return []
     a1 = CartanType("A1")
     for n in range(ladder_n + 1):
         def ladder(n=n, a1=a1, d_reading=d_reading):
@@ -792,9 +820,10 @@ def cmd_verify(args):
     report = run_suite(args.suite, type_name=args.type, height=args.height,
                        d_reading=args.d_reading)
     if not report:
-        print("suite %s decides no case at height %s: nothing was checked"
-              % (args.suite, "default" if args.height is None
-                 else args.height), file=sys.stderr)
+        print("suite %s decides no case%s at height %s: nothing was checked"
+              % (args.suite, " on %s" % args.type if args.type else "",
+                 "default" if args.height is None else args.height),
+              file=sys.stderr)
         return 2
     failures = [r for r in report if not r["pass"]]
     if args.format == "json":

@@ -5,6 +5,19 @@ no floating point anywhere.  LaurentPoly is a sparse exponent->coefficient
 map over arbitrary-precision integers.  Scalar is a reduced fraction of
 two integer polynomials in q (negative exponents are cleared into the
 fraction), so equality is structural.
+
+Scalar reduces without a polynomial gcd.  Every denominator the engine
+makes is c q^k prod Phi_n^m, a product of cyclotomic polynomials (they come
+from q-integers and from q^d - q^-d), and each Scalar keeps that
+factorization of its denominator next to the expanded num/den.  A product
+by +-q^j is an exponent shift; otherwise a product divides each numerator
+by the Phi_n of the other denominator while they divide it, and a sum
+works over the least common multiple (the larger multiplicity of each
+Phi_n), then cancels only the Phi_n that can divide the new numerator.
+Whether Phi_n divides p is decided by folding the exponents of p mod n
+(p mod q^n - 1) and reducing the fold mod Phi_n.  A denominator with any
+other factor is marked as such, and its arithmetic takes the Euclidean
+gcd path (_pgcd) instead; results are identical either way.
 """
 
 from __future__ import annotations
@@ -245,30 +258,186 @@ def laurent_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
+# cyclotomic polynomials
+#
+# A denominator is kept factored as c q^k prod Phi_n^m (c > 0): the
+# q-integers [n]_{q^d} and q^d - q^-d that make every denominator of the
+# engine are such products.  Phi_n divides p exactly when p vanishes at a
+# primitive n-th root of unity; since Phi_n divides q^n - 1, that is decided
+# on p mod q^n - 1 (its exponents folded mod n) reduced mod Phi_n.
+
+_PHI = {}          # n -> (degree, [(e, c)] of Phi_n below its leading 1)
+_PRODUCTS = {}     # sorted ((n, m), ...) -> expanded prod Phi_n^m
+_FACTORS = {}      # sorted den items -> (c, k, mult) or False
+# orders tried when factoring a polynomial; a larger one sends it to the
+# gcd fallback, which is slower but as exact
+_MAX_ORDER = 120
+
+
+def _totient(n):
+    t, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            t -= t // p
+        p += 1
+    return t - t // m if m > 1 else t
+
+
+_TOTIENT = [0] + [_totient(n) for n in range(1, _MAX_ORDER + 1)]
+
+
+def _phi(n):
+    """(degree, lower terms) of the monic cyclotomic polynomial Phi_n."""
+    entry = _PHI.get(n)
+    if entry is None:
+        p = {n: 1, 0: -1}
+        for d in range(1, n):
+            if n % d == 0:
+                p = _pdiv_exact(p, _phi_poly(d))
+        deg = max(p)
+        entry = _PHI[n] = (deg, tuple(sorted((e, v) for e, v in p.items()
+                                             if e < deg)))
+    return entry
+
+
+def _phi_poly(n):
+    deg, tail = _phi(n)
+    p = dict(tail)
+    p[deg] = 1
+    return p
+
+
+def _phi_divides(p, n):
+    """Whether Phi_n divides the polynomial p (nonnegative exponents)."""
+    if n == 1:
+        return not sum(p.values())
+    if n == 2:
+        return not sum(-v if e & 1 else v for e, v in p.items())
+    r = [0] * n
+    for e, v in p.items():
+        r[e % n] += v
+    deg, tail = _phi(n)
+    for i in range(n - 1, deg - 1, -1):
+        t = r[i]
+        if t:
+            s = i - deg
+            for e, c in tail:
+                r[s + e] -= t * c
+    return not any(r[:deg])
+
+
+def _phi_div(p, n):
+    """p / Phi_n for a multiple p of Phi_n (synthetic division)."""
+    lo = min(p)
+    a = [0] * (max(p) - lo + 1)
+    for e, v in p.items():
+        a[e - lo] = v
+    deg, tail = _phi(n)
+    out = {}
+    for i in range(len(a) - 1, deg - 1, -1):
+        t = a[i]
+        if t:
+            s = i - deg
+            out[s + lo] = t
+            for e, c in tail:
+                a[s + e] -= t * c
+    return out
+
+
+def _phi_divide_out(p, n, m):
+    """Divide Phi_n out of p at most m times; returns (quotient, times)."""
+    j = 0
+    while j < m and _phi_divides(p, n):
+        p = _phi_div(p, n)
+        j += 1
+    return p, j
+
+
+def _phi_product(mult):
+    """Expanded prod Phi_n^m for a sorted ((n, m), ...); memoized."""
+    p = _PRODUCTS.get(mult)
+    if p is None:
+        p = {0: 1}
+        for n, m in mult:
+            for _ in range(m):
+                p = _pmul(p, _phi_poly(n))
+        _PRODUCTS[mult] = p
+    return p
+
+
+def _den_of(c, k, mult):
+    p = _phi_product(mult)
+    if c == 1 and k == 0:
+        return p
+    return {e + k: v * c for e, v in p.items()}
+
+
+def _cyclotomic_factors(p):
+    """(c, k, mult) with p = c q^k prod Phi_n^m, c > 0 and mult a sorted
+    ((n, m), ...), or False when p has any other factor.  p has a positive
+    leading coefficient and at least two terms."""
+    k, hi = min(p), max(p)
+    coeffs = [p.get(e, 0) for e in range(k, hi + 1)]
+    # every Phi_n is palindromic except Phi_1, which is antipalindromic
+    rev = coeffs[::-1]
+    if coeffs != rev and coeffs != [-v for v in rev]:
+        return False
+    c = _pcontent(p)
+    rest = {e - k: v // c for e, v in p.items()}
+    deg = hi - k
+    mult = []
+    for n in range(1, _MAX_ORDER + 1):
+        if _TOTIENT[n] > deg:
+            continue
+        rest, m = _phi_divide_out(rest, n, deg)
+        if m:
+            mult.append((n, m))
+            deg -= m * _TOTIENT[n]
+            if not deg:
+                return c, k, tuple(mult)
+    return False
+
+
+def _den_factors(den):
+    """Factorization (c, k, mult) of a denominator, or False; memoized."""
+    if len(den) == 1:
+        (k, c), = den.items()
+        return c, k, ()
+    key = tuple(sorted(den.items()))
+    f = _FACTORS.get(key)
+    if f is None:
+        f = _FACTORS[key] = _cyclotomic_factors(den)
+    return f
+
+
+# ---------------------------------------------------------------------------
 
 class Scalar:
     """Element of Q(q): reduced fraction of integer polynomials in q.
 
     Canonical form: num/den in Z[q] with nonnegative exponents, polynomial
     gcd 1, den with positive leading coefficient, and integer contents
-    coprime.  Equality and hashing are structural.
+    coprime.  Equality and hashing are structural.  The factorization of
+    den is kept alongside (see _factored); it is not part of the value.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash", "_fac")
 
     def __init__(self, num, den=None, _normal=False):
         if den is None:
             den = {0: 1}
         if _normal:
-            self.num, self.den = num, den
+            self.num, self.den, self._fac = num, den, None
         else:
-            self.num, self.den = _normalize(num, den)
+            self.num, self.den, self._fac = _normalize(num, den)
         self._hash = None
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_int(n):
-        return Scalar({0: n} if n else {}, {0: 1}, _normal=True)
+        return _make({0: n} if n else {}, {0: 1}, _UNIT)
 
     @staticmethod
     def from_laurent(p: LaurentPoly):
@@ -280,8 +449,8 @@ class Scalar:
     @staticmethod
     def q_power(k):
         if k >= 0:
-            return Scalar({k: 1}, {0: 1}, _normal=True)
-        return Scalar({0: 1}, {-k: 1}, _normal=True)
+            return _make({k: 1}, {0: 1}, _UNIT)
+        return _make({0: 1}, {-k: 1}, (1, -k, ()))
 
     # -- predicates ----------------------------------------------------
     def is_zero(self):
@@ -292,96 +461,87 @@ class Scalar:
 
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other):
-        if not self.num:
+        n1, n2 = self.num, other.num
+        if not n1:
             return other
-        if not other.num:
+        if not n2:
             return self
-        if self.den == other.den:
-            num = dict(self.num)
-            for e, v in other.num.items():
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            num = dict(n1)
+            for e, v in n2.items():
                 num[e] = num.get(e, 0) + v
-            if len(self.den) == 1:
-                (e, c), = self.den.items()
-                return _mono_den(_strip(num), e, c)
-            return Scalar(_strip(num), dict(self.den))
-        g = _cross_gcd(self.den, other.den)
-        if g == {0: 1}:
-            num = dict(_pmul(self.num, other.den))
-            for e, v in _pmul(other.num, self.den).items():
-                num[e] = num.get(e, 0) + v
-            # coprime denominators: the sum is already reduced up to content
-            return _finish(_strip(num), _pmul(self.den, other.den))
-        # over the least common denominator only factors of g can cancel
-        d2p = _pdiv_exact(other.den, g)
-        num = dict(_pmul(self.num, d2p))
-        for e, v in _pmul(other.num, _pdiv_exact(self.den, g)).items():
-            num[e] = num.get(e, 0) + v
-        num = _strip(num)
-        if not num:
-            return _ZERO
-        den = _pmul(self.den, d2p)
-        while True:
-            t = _cross_gcd(num, g)
-            if t == {0: 1}:
-                break
-            num = _pdiv_exact(num, t)
-            den = _pdiv_exact(den, t)
-            g = _cross_gcd(t, den)
-            if g == {0: 1}:
-                break
-        return _finish(num, den)
+            num = _strip(num)
+            if len(d1) == 1:
+                (e, c), = d1.items()
+                return _mono_den(num, e, c)
+            f = _factored(self)
+            if f is False:
+                return Scalar(num, d1)
+            if not num:
+                return _ZERO
+            # every Phi_n of the common denominator may cancel
+            return _reduced(num, d1, f, f[2])
+        if len(d1) > 1 or len(d2) > 1:
+            f1, f2 = _factored(self), _factored(other)
+            if f1 is not False and f2 is not False:
+                return _add_over_lcm(n1, f1, n2, f2)
+        # monomial denominators (no gcd is needed), or a factor other than
+        # q and the Phi_n
+        return _add_by_gcd(n1, d1, n2, d2)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Scalar({e: -v for e, v in self.num.items()}, dict(self.den),
-                      _normal=True)
+        return _make({e: -v for e, v in self.num.items()}, self.den,
+                     self._fac)
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        if not self.num or not other.num:
-            return _ZERO
-        if len(self.den) == 1 and len(other.den) == 1:
-            (e1, c1), = self.den.items()
-            (e2, c2), = other.den.items()
-            return _mono_den(_pmul(self.num, other.num), e1 + e2, c1 * c2)
-        # both fractions reduced: only cross factors can cancel
-        n1, d2 = _cancel(self.num, other.den)
-        n2, d1 = _cancel(other.num, self.den)
-        return _finish(_pmul(n1, n2), _pmul(d1, d2))
+        return _product(self, other)
 
     def __truediv__(self, other):
         if not other.num:
             raise ZeroDivisionError("division by zero Scalar")
         if not self.num:
             return _ZERO
-        n1, n2 = _cancel(self.num, other.num)
-        d1, d2 = _cancel(self.den, other.den)
-        return _finish(_pmul(n1, d2), _pmul(d1, n2))
+        return _product(self, _reciprocal(other))
 
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("inverse of zero Scalar")
-        return _finish(dict(self.den), dict(self.num))
+        return _reciprocal(self)
 
     def bar(self):
         """Apply q -> q^-1."""
-        num = {-e: v for e, v in self.num.items()}
-        den = {-e: v for e, v in self.den.items()}
-        sn = min(num) if num else 0
-        sd = min(den)
-        s = min(sn, sd)
-        return Scalar({e - s: v for e, v in num.items()},
-                      {e - s: v for e, v in den.items()})
+        if not self.num:
+            return self
+        top = max(max(self.num), max(self.den))
+        num = {top - e: v for e, v in self.num.items()}
+        den = {top - e: v for e, v in self.den.items()}
+        if _plc(den) < 0:
+            num = {e: -v for e, v in num.items()}
+            den = {e: -v for e, v in den.items()}
+        # reversing the exponents keeps the fraction reduced, and takes a
+        # product of Phi_n to plus or minus a q-power times itself
+        f = self._fac
+        if f:
+            f = (f[0], min(den), f[2])
+        return _make(num, den, f)
 
     def subst_q_power(self, d):
         """Substitute q -> q^d (d a positive integer)."""
         if d == 1:
             return self
+        if d < 1:
+            return Scalar({e * d: v for e, v in self.num.items()},
+                          {e * d: v for e, v in self.den.items()})
+        # q -> q^d keeps num and den coprime, their contents and the signs
+        # of their leading coefficients
         return Scalar({e * d: v for e, v in self.num.items()},
-                      {e * d: v for e, v in self.den.items()})
+                      {e * d: v for e, v in self.den.items()}, _normal=True)
 
     # -- structure -------------------------------------------------------
     def __eq__(self, other):
@@ -407,6 +567,207 @@ class Scalar:
 
     def __repr__(self):
         return "Scalar(%s)" % str(self)
+
+
+_UNIT = (1, 0, ())
+_new = object.__new__
+
+
+def _make(num, den, fac):
+    """A Scalar from canonical num/den and the factorization of den (None:
+    not known yet)."""
+    s = _new(Scalar)
+    s.num, s.den, s._hash, s._fac = num, den, None, fac
+    return s
+
+
+def _factored(s):
+    """(c, k, mult) with s.den = c q^k prod Phi_n^m, or False when den has
+    another factor; computed on first use and kept on s."""
+    f = s._fac
+    if f is None:
+        f = s._fac = _den_factors(s.den)
+    return f
+
+
+def _reduced(num, den, f, cands):
+    """Canonical num / den for den = c q^k prod Phi_n^m (f = (c, k, mult);
+    den None to build it), when a common factor of num and den can only be
+    a q-power, an integer or one of the Phi_n^m listed in cands."""
+    c, k, mult = f
+    changed = den is None
+    if cands:
+        left = None
+        for n, m in cands:
+            num, j = _phi_divide_out(num, n, m)
+            if j:
+                if left is None:
+                    left = dict(mult)
+                if left[n] == j:
+                    del left[n]
+                else:
+                    left[n] -= j
+        if left is not None:
+            mult = tuple(sorted(left.items()))
+            changed = True
+    if k:
+        t = min(min(num), k)
+        if t:
+            num = {e - t: v for e, v in num.items()}
+            k -= t
+            changed = True
+    if c != 1:
+        g = math.gcd(_pcontent(num), c)
+        if g > 1:
+            num = {e: v // g for e, v in num.items()}
+            c //= g
+            changed = True
+    if changed:
+        f = (c, k, mult)
+        den = _den_of(c, k, mult)
+    return _make(num, den, f)
+
+
+def _add_over_lcm(n1, f1, n2, f2):
+    """n1/d1 + n2/d2 over lcm(d1, d2), both denominators factored."""
+    c1, k1, m1 = f1
+    c2, k2, m2 = f2
+    lcm = dict(m1)
+    up1, cands = [], []
+    for n, m in m2:
+        have = lcm.get(n, 0)
+        if m > have:
+            up1.append((n, m - have))
+            lcm[n] = m
+        elif m == have:
+            # with unequal multiplicities Phi_n divides exactly one term
+            cands.append((n, m))
+    have2 = dict(m2)
+    up2 = [(n, lcm[n] - have2.get(n, 0)) for n, _ in m1
+           if lcm[n] > have2.get(n, 0)]
+    c = c1 * c2 // math.gcd(c1, c2)
+    k = max(k1, k2)
+    num = dict(_cofactor(n1, up1, c // c1, k - k1))
+    for e, v in _cofactor(n2, up2, c // c2, k - k2).items():
+        num[e] = num.get(e, 0) + v
+    num = _strip(num)
+    if not num:
+        return _ZERO
+    return _reduced(num, None, (c, k, tuple(sorted(lcm.items()))), cands)
+
+
+def _cofactor(p, up, c, k):
+    """p times c q^k prod Phi_n^m over up."""
+    if up:
+        p = _pmul(p, _phi_product(tuple(up)))
+    if c != 1 or k:
+        p = {e + k: v * c for e, v in p.items()}
+    return p
+
+
+def _product(a, b):
+    n1, n2 = a.num, b.num
+    if not n1 or not n2:
+        return _ZERO
+    d1, d2 = a.den, b.den
+    if len(d2) == 1 and len(n2) == 1:
+        (e, v), = n2.items()
+        (k, c), = d2.items()
+        if c == 1 and (v == 1 or v == -1):
+            return _times_unit(a, v, e - k)
+    if len(d1) == 1 and len(n1) == 1:
+        (e, v), = n1.items()
+        (k, c), = d1.items()
+        if c == 1 and (v == 1 or v == -1):
+            return _times_unit(b, v, e - k)
+    if len(d1) == 1 and len(d2) == 1:
+        (e1, c1), = d1.items()
+        (e2, c2), = d2.items()
+        return _mono_den(_pmul(n1, n2), e1 + e2, c1 * c2)
+    f1, f2 = _factored(a), _factored(b)
+    if f1 is False or f2 is False:
+        # both fractions reduced: only cross factors can cancel
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
+        return _finish(_pmul(n1, n2), _pmul(d1, d2))
+    c1, k1, m1 = f1
+    c2, k2, m2 = f2
+    # a Phi_n of one denominator can only cancel against the other
+    # numerator, and not at all when it divides both denominators
+    have1, have2 = dict(m1), dict(m2)
+    mult = {}
+    for n, m in m1:
+        if n in have2:
+            mult[n] = m + have2[n]
+        else:
+            n2, j = _phi_divide_out(n2, n, m)
+            if j < m:
+                mult[n] = m - j
+    for n, m in m2:
+        if n not in have1:
+            n1, j = _phi_divide_out(n1, n, m)
+            if j < m:
+                mult[n] = m - j
+    return _reduced(_pmul(n1, n2), None,
+                    (c1 * c2, k1 + k2, tuple(sorted(mult.items()))), ())
+
+
+def _times_unit(s, sign, j):
+    """s * sign * q^j: shift exponents; only q-powers can cancel."""
+    if j == 0 and sign == 1:
+        return s
+    num, den, f = s.num, s.den, s._fac
+    a, b = (j, 0) if j >= 0 else (0, -j)
+    t = min(min(num) + a, (f[1] if f else min(den)) + b)
+    a -= t
+    b -= t
+    if a or sign != 1:
+        num = {e + a: sign * v for e, v in num.items()}
+    if b:
+        den = {e + b: v for e, v in den.items()}
+        if f:
+            f = (f[0], f[1] + b, f[2])
+    return _make(num, den, f)
+
+
+def _reciprocal(s):
+    """den/num: still reduced; only the sign may need to move."""
+    num, den = s.den, s.num
+    if _plc(den) < 0:
+        num = {e: -v for e, v in num.items()}
+        den = {e: -v for e, v in den.items()}
+    return _make(num, den, None)
+
+
+def _add_by_gcd(n1, d1, n2, d2):
+    """The sum over d1 d2 / gcd(d1, d2), reduced through polynomial gcds;
+    with monomial denominators no gcd is computed."""
+    g = _cross_gcd(d1, d2)
+    if g == {0: 1}:
+        num = dict(_pmul(n1, d2))
+        for e, v in _pmul(n2, d1).items():
+            num[e] = num.get(e, 0) + v
+        # coprime denominators: the sum is already reduced up to content
+        return _finish(_strip(num), _pmul(d1, d2))
+    # over the least common denominator only factors of g can cancel
+    d2p = _pdiv_exact(d2, g)
+    num = dict(_pmul(n1, d2p))
+    for e, v in _pmul(n2, _pdiv_exact(d1, g)).items():
+        num[e] = num.get(e, 0) + v
+    num = _strip(num)
+    if not num:
+        return _ZERO
+    den = _pmul(d1, d2p)
+    while True:
+        t = _cross_gcd(num, g)
+        if t == {0: 1}:
+            break
+        num = _pdiv_exact(num, t)
+        den = _pdiv_exact(den, t)
+        g = _cross_gcd(t, den)
+        if g == {0: 1}:
+            break
+    return _finish(num, den)
 
 
 def _cross_gcd(a, b):
@@ -449,7 +810,7 @@ def _finish(num, den):
     if _plc(den) < 0:
         num = {e: -v for e, v in num.items()}
         den = {e: -v for e, v in den.items()}
-    return Scalar(num, den, _normal=True)
+    return _make(num, den, None)
 
 
 def _mono_den(num, k, c):
@@ -468,34 +829,38 @@ def _mono_den(num, k, c):
     if c < 0:
         num = {e: -v for e, v in num.items()}
         c = -c
-    return Scalar(num, {k: c}, _normal=True)
+    return _make(num, {k: c}, (c, k, ()))
 
 
 def _normalize(num, den):
+    """(num, den, factorization of den or None) in canonical form."""
     num, den = _strip(num), _strip(den)
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, {0: 1}
+        return {}, {0: 1}, _UNIT
     # clear common power of q
-    sn, sd = min(num), min(den)
-    s = min(sn, sd)
+    s = min(min(num), min(den))
     if s:
         num = {e - s: v for e, v in num.items()}
         den = {e - s: v for e, v in den.items()}
+    if _plc(den) < 0:
+        num = {e: -v for e, v in num.items()}
+        den = {e: -v for e, v in den.items()}
+    f = _den_factors(den)
+    if f is not False:
+        r = _reduced(num, den, f, f[2]) if len(den) > 1 else \
+            _mono_den(num, f[1], f[0])
+        return r.num, r.den, r._fac
     g = _pgcd(num, den)
     if g != {0: 1}:
         num = _pdiv_exact(num, g)
         den = _pdiv_exact(den, g)
-    cn, cd = _pcontent(num), _pcontent(den)
-    c = math.gcd(cn, cd)
+    c = math.gcd(_pcontent(num), _pcontent(den))
     if c > 1:
         num = {e: v // c for e, v in num.items()}
         den = {e: v // c for e, v in den.items()}
-    if _plc(den) < 0:
-        num = {e: -v for e, v in num.items()}
-        den = {e: -v for e, v in den.items()}
-    return num, den
+    return num, den, None
 
 
 _ZERO = Scalar.from_int(0)

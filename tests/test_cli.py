@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from qpbw import braid, cli, pbw
+from qpbw import braid, cli, fock, pbw
+from qpbw.rootdata import CartanType
 from qpbw.scalars import ONE, Scalar
 from qpbw.uqcore import UElement
 
@@ -169,6 +170,23 @@ def test_verify_deciding_no_case_exits_2(capsys, monkeypatch):
     assert code == 0 and "0 failures" in out
 
 
+def test_verify_conj1_deciding_no_case_on_the_type_exits_2(capsys):
+    # at height 0 no conj1 case is on B2; the A1 ladder alone is not a check
+    # of the requested type
+    for fmt in ("text", "json"):
+        code, out, err = run(["verify", "conj1", "--type", "B2",
+                              "--height", "0", "--format", fmt], capsys)
+        assert code == 2 and not out
+        assert "conj1" in err and "B2" in err and "height 0" in err
+    code, out, _ = run(["verify", "conj1", "--type", "A2", "--height", "1"],
+                       capsys)
+    assert code == 0 and "0 failures" in out
+    # on A1 the ladder is the case of the requested type
+    code, out, _ = run(["verify", "conj1", "--type", "A1", "--height", "0"],
+                       capsys)
+    assert code == 0 and "9 cases, 0 failures" in out
+
+
 def test_removed_flags_exit_2():
     # flags that were parsed but never read are gone; argparse rejects them
     for argv in (["transition", "--type", "B2", "--from", "1,2,1,2",
@@ -233,3 +251,67 @@ def test_braid_failures_carry_witnesses(monkeypatch):
     for case in report:
         assert not case["pass"]
         assert case["witness"] == {"coord": "f2", "diff": _per_letter(ONE)}
+
+
+def test_koy_and_conj1_failures_carry_witnesses(capsys, monkeypatch):
+    # scale one side by q: the witness is the first basis vector, with the
+    # value of each side
+    right_koy, right_conj1 = fock.koy_transform, fock.conj1_operator
+    q = Scalar.q_power(1)
+
+    def wrong_koy(ct, from_word, to_word, v, *args):
+        w = right_koy(ct, from_word, to_word, v, *args)
+        return w.scale(q) if tuple(to_word) == (0, 1, 0) else w
+
+    def wrong_conj1(ct, word, i, v, *args):
+        w = right_conj1(ct, word, i, v, *args)
+        return w.scale(q) if tuple(word) == (1, 0, 1) else w
+
+    argv = ["verify", "koy", "--type", "A2", "--height", "1",
+            "--format", "json"]
+    monkeypatch.setattr(fock, "koy_transform", wrong_koy)
+    code, out, _ = run(argv, capsys)
+    failures = json.loads(out)["failures"]
+    assert code == 1 and failures
+    for case in failures:
+        assert case["check"].startswith("koy round trip")
+        n = json.loads(case["check"].split("n=")[1])
+        assert case["witness"] == {"exps": n, "lhs": "q", "rhs": "1"}
+    monkeypatch.setattr(fock, "koy_transform", right_koy)
+    right_block = pbw.transition_matrix
+
+    def wrong_block(ct, family, from_word, to_word, gamma):
+        rows = right_block(ct, family, from_word, to_word, gamma)
+        if tuple(to_word) != (0, 1, 0):
+            return rows
+        return {n: {m: c * q for m, c in row.items()}
+                for n, row in rows.items()}
+
+    monkeypatch.setattr(pbw, "transition_matrix", wrong_block)
+    code, out, _ = run(argv, capsys)
+    failures = [case for case in json.loads(out)["failures"]
+                if case["check"].startswith("round trip")]
+    # both orders of the two words, at both weights of height 1
+    assert code == 1 and len(failures) == 4
+    for case in failures:
+        n = case["witness"]["src"]
+        assert case["witness"] == {"src": n, "exps": n, "lhs": "q",
+                                   "rhs": "1"}
+    monkeypatch.setattr(pbw, "transition_matrix", right_block)
+    monkeypatch.setattr(fock, "conj1_operator", wrong_conj1)
+    argv[1] = "conj1"
+    code, out, _ = run(argv, capsys)
+    failures = json.loads(out)["failures"]
+    assert code == 1 and failures
+    ct, base, other = CartanType("A2"), (0, 1, 0), (1, 0, 1)
+    for case in failures:
+        # "conj1 A2 i=I n=N via W": recompute the correct side
+        i = int(case["check"].split("i=")[1].split()[0]) - 1
+        n = json.loads(case["check"].split("n=")[1].split(" via")[0])
+        v = fock.FockVector.basis(ct, base, n)
+        lhs = right_koy(ct, base, other, right_conj1(ct, base, i, v, "qi", 13),
+                        "qi", 13)
+        first = min(lhs.terms)
+        assert case["witness"] == {"exps": list(first),
+                                   "lhs": str(lhs.terms[first]),
+                                   "rhs": str(q * lhs.terms[first])}

@@ -1,7 +1,14 @@
 """Exact arithmetic over Z[q, q^-1] and its fraction field."""
 
+import math
 import random
 
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from qpbw import braid, pairing, pbw, scalars
+from qpbw.braid import FAMILIES
+from qpbw.rootdata import CartanType, weights_of_height
 from qpbw.scalars import (LaurentPoly, Scalar, c_const, d_const, qbinom,
                           qfact, qint, qint_scalar, qfact_scalar)
 
@@ -117,3 +124,302 @@ def test_bar_involution():
 def test_qfact():
     assert qfact(0) == one
     assert qfact(3) == qint(3) * qint(2)
+
+
+# ---------------------------------------------------------------------------
+# property tests: canonical form, field axioms, sympy, and a differential
+# check against plain gcd arithmetic
+
+Q = sympy.Symbol("q")
+PROPS = settings(max_examples=100, deadline=None, derandomize=True,
+                 database=None)
+# non-cyclotomic factors; q^2 + 3q + 1 is palindromic like a cyclotomic one
+ODD_FACTORS = ({0: 2, 1: 1, 2: 1}, {0: 1, 1: 2}, {0: 1, 1: 3, 2: 1})
+
+
+def _cyclotomic(n):
+    return {e: int(v) for (e,), v in
+            sympy.Poly(sympy.cyclotomic_poly(n, Q), Q).terms()}
+
+
+PHI = {n: _cyclotomic(n) for n in range(1, 25)}
+
+
+def _pmul(a, b):
+    out = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+def _padd(a, b):
+    out = dict(a)
+    for e, v in b.items():
+        out[e] = out.get(e, 0) + v
+    return {e: v for e, v in out.items() if v}
+
+
+# -- a test-local copy of the gcd arithmetic that reduces every result --
+
+def _content(p):
+    g = 0
+    for v in p.values():
+        g = math.gcd(g, v)
+    return g
+
+
+def _prim(p):
+    g = _content(p)
+    return {e: v // g for e, v in p.items()} if g > 1 else dict(p)
+
+
+def _pseudo_rem(a, b):
+    db, lb = max(b), b[max(b)]
+    r = dict(a)
+    while r and max(r) >= db:
+        dr, lr = max(r), r[max(r)]
+        g = math.gcd(lr, lb)
+        r = _padd({e: v * (lb // g) for e, v in r.items()},
+                  {e + dr - db: -v * (lr // g) for e, v in b.items()})
+        r = _prim(r)
+    return r
+
+
+def _gcd(a, b):
+    a, b = _prim(a), _prim(b)
+    while b:
+        a, b = b, _prim(_pseudo_rem(a, b))
+    if a[max(a)] < 0:
+        a = {e: -v for e, v in a.items()}
+    return a
+
+
+def _div_exact(a, b):
+    db, lb = max(b), b[max(b)]
+    out, r = {}, dict(a)
+    while r:
+        dr, lr = max(r), r[max(r)]
+        assert dr >= db and lr % lb == 0
+        out[dr - db] = lr // lb
+        r = _padd(r, {e + dr - db: -v * (lr // lb) for e, v in b.items()})
+    return out
+
+
+def _reference(num, den):
+    """(num, den) reduced by a polynomial gcd, as Scalar stores them."""
+    num = {e: v for e, v in num.items() if v}
+    den = {e: v for e, v in den.items() if v}
+    if not num:
+        return {}, {0: 1}
+    s = min(min(num), min(den))
+    num = {e - s: v for e, v in num.items()}
+    den = {e - s: v for e, v in den.items()}
+    g = _gcd(num, den)
+    num, den = _div_exact(num, g), _div_exact(den, g)
+    c = math.gcd(_content(num), _content(den))
+    num = {e: v // c for e, v in num.items()}
+    den = {e: v // c for e, v in den.items()}
+    if den[max(den)] < 0:
+        num = {e: -v for e, v in num.items()}
+        den = {e: -v for e, v in den.items()}
+    return num, den
+
+
+def _ref_op(op, a, b=None):
+    n1, d1 = a.num, a.den
+    if op == "inverse":
+        return _reference(d1, n1)
+    if op == "neg":
+        return _reference({e: -v for e, v in n1.items()}, d1)
+    if not n1:
+        n1 = {0: 0}
+    if op == "bar":
+        top = max(max(n1), max(d1))
+        return _reference({top - e: v for e, v in n1.items()},
+                          {top - e: v for e, v in d1.items()})
+    if op == "subst":
+        return _reference({3 * e: v for e, v in n1.items()},
+                          {3 * e: v for e, v in d1.items()})
+    n2, d2 = b.num, b.den
+    if op == "mul":
+        return _reference(_pmul(n1, n2), _pmul(d1, d2))
+    if op == "div":
+        return _reference(_pmul(n1, d2), _pmul(d1, n2))
+    sign = 1 if op == "add" else -1
+    return _reference(_padd(_pmul(n1, d2),
+                            {e: sign * v for e, v in _pmul(n2, d1).items()}),
+                      _pmul(d1, d2))
+
+
+# -- strategies ------------------------------------------------------------
+
+_orders = st.integers(1, 24) | st.sampled_from([1, 2, 3, 4, 6])
+_polys = st.dictionaries(st.integers(0, 5), st.integers(-4, 4), max_size=4)
+
+
+@st.composite
+def _fractions(draw):
+    """Fractions whose denominators are c q^k prod Phi_n (n <= 24, c <= 3),
+    sometimes times a non-cyclotomic factor, and whose numerators often
+    share a Phi_n with them; also units +-q^j."""
+    if draw(st.integers(0, 5)) == 0:
+        s = Scalar.q_power(draw(st.integers(-3, 3)))
+        return -s if draw(st.booleans()) else s
+    den = {draw(st.integers(0, 3)): draw(st.integers(1, 3))}
+    for n in draw(st.lists(_orders, max_size=3)):
+        den = _pmul(den, PHI[n])
+    if draw(st.integers(0, 3)) == 0:
+        den = _pmul(den, draw(st.sampled_from(ODD_FACTORS)))
+    if draw(st.booleans()):
+        den = {e: -v for e, v in den.items()}
+    num = draw(_polys) or {0: draw(st.integers(-3, 3))}
+    for n in draw(st.lists(_orders, max_size=2)):
+        num = _pmul(num, PHI[n])
+    return Scalar(num, den)
+
+
+def _canonical(s):
+    num, den = s.num, s.den
+    assert den and all(v for v in den.values())
+    assert all(v for v in num.values())
+    if not num:
+        return den == {0: 1}
+    return (min(num) >= 0 and min(den) >= 0 and min(min(num), min(den)) == 0
+            and den[max(den)] > 0
+            and math.gcd(_content(num), _content(den)) == 1
+            and _gcd(num, den) == {0: 1})
+
+
+def _sympy(s):
+    return (sum(v * Q ** e for e, v in s.num.items())
+            / sum(v * Q ** e for e, v in s.den.items()))
+
+
+def _factorization_holds(s):
+    """The factorization kept on s, if any, expands to its denominator."""
+    f = s._fac
+    if not f:
+        return True
+    c, k, mult = f
+    den = {k: c}
+    for n, m in mult:
+        for _ in range(m):
+            den = _pmul(den, PHI[n])
+    return den == s.den
+
+
+@PROPS
+@given(_fractions())
+def test_property_canonical_form(a):
+    assert _canonical(a)
+    assert (a.num, a.den) == _reference(a.num, a.den)
+    if scalars._factored(a) is False:
+        assert any(sympy.degree(g, Q) > 0 and not _is_cyclotomic(g)
+                   for g, _ in sympy.factor_list(
+                       sum(v * Q ** e for e, v in a.den.items()))[1])
+    assert _factorization_holds(a)
+
+
+def _is_cyclotomic(g):
+    return g == Q or any(sympy.expand(g - sympy.cyclotomic_poly(n, Q)) == 0
+                         for n in range(1, 25))
+
+
+@PROPS
+@given(_fractions(), _fractions(), _fractions())
+def test_property_field_axioms(a, b, c):
+    zero, one = Scalar.from_int(0), Scalar.from_int(1)
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + b == b + a and a * b == b * a
+    assert a + zero == a and a * one == a and a - a == zero
+    if not b.is_zero():
+        assert (a / b) * b == a
+        assert b * b.inverse() == one
+    for s in (a + b, a * b, a - c):
+        assert _canonical(s)
+
+
+@settings(PROPS, max_examples=60)
+@given(_fractions())
+def test_property_str_matches_sympy_cancel(a):
+    num, den = (sympy.Poly(sum(v * Q ** e for e, v in p.items()), Q)
+                for p in _unreduced(a))
+    num, den = num.cancel(den, include=True)
+    want = scalars.poly_str(_terms(num))
+    if den != sympy.Poly(1, Q):
+        if len(num.terms()) > 1:
+            want = "(%s)" % want
+        d = scalars.poly_str(_terms(den))
+        want += "/" + ("(%s)" % d if len(den.terms()) > 1 else d)
+    assert str(a) == want
+    parts = [sympy.sympify(t.replace("^", "**"), locals={"q": Q})
+             for t in str(a).split("/")]
+    assert sympy.cancel(parts[0] / (parts[1] if len(parts) > 1 else 1)
+                        - _sympy(a)) == 0
+
+
+def _unreduced(a):
+    """num and den of a times a common factor, for sympy to cancel."""
+    extra = _pmul(PHI[6], {1: 2})
+    return _pmul(a.num, extra), _pmul(a.den, extra)
+
+
+def _terms(poly):
+    return {e: int(v) for (e,), v in poly.terms() if v}
+
+
+@PROPS
+@given(_fractions(), _fractions())
+def test_property_ops_match_gcd_arithmetic(a, b):
+    got = {"add": a + b, "sub": a - b, "mul": a * b, "neg": -a,
+           "bar": a.bar(), "subst": a.subst_q_power(3)}
+    if not b.is_zero():
+        got["div"] = a / b
+    if not a.is_zero():
+        got["inverse"] = a.inverse()
+    for op, s in got.items():
+        assert (s.num, s.den) == _ref_op(op, a, b), op
+        assert _factorization_holds(s), op
+    # equal denominators, where the sum may cancel a Phi_n of them
+    c = Scalar(_padd(_pmul(a.den, b.num), a.num), _pmul(a.den, b.den)) - a
+    assert (c.num, c.den) == _ref_op("sub", Scalar(
+        _padd(_pmul(a.den, b.num), a.num), _pmul(a.den, b.den)), a)
+
+
+def test_cyclotomic_transitions_make_no_gcd(monkeypatch):
+    # every A2 transition denominator is a product of Phi_n: computed cold,
+    # the six families at height <= 3 never reach the gcd fallback
+    calls = []
+    real = scalars._pgcd
+    monkeypatch.setattr(scalars, "_pgcd",
+                        lambda a, b: calls.append(1) or real(a, b))
+    monkeypatch.setattr(pbw, "_store", {})
+    monkeypatch.setattr(braid, "_root_vectors", {})
+    monkeypatch.setattr(pairing.Pairing, "_instances", {})
+    ct = CartanType("A2")
+    blocks = 0
+    for family in FAMILIES:
+        for h in range(1, 4):
+            for ga in weights_of_height(ct, h):
+                block = pbw.transition_matrix(ct, family, (0, 1, 0),
+                                              (1, 0, 1), ga)
+                blocks += bool(block)
+    assert blocks == 6 * 9 and calls == []
+
+
+def test_non_cyclotomic_denominator_takes_the_gcd_fallback(monkeypatch):
+    calls = []
+    real = scalars._pgcd
+    monkeypatch.setattr(scalars, "_pgcd",
+                        lambda a, b: calls.append(1) or real(a, b))
+    odd = Scalar({0: 2, 1: 1, 2: 1})          # q^2 + q + 2
+    lin = Scalar({0: 1, 1: 2})                # 2q + 1
+    x = odd.inverse() + lin.inverse()
+    assert calls and scalars._factored(x) is False
+    assert str(x) == "(q^2 + 3*q + 3)/(2*q^3 + 3*q^2 + 5*q + 2)"
+    # exact: the sum times its denominators is the plain polynomial sum
+    assert x * odd * lin == odd + lin
+    assert (x - lin.inverse()) * odd == Scalar.from_int(1)
