@@ -21,6 +21,7 @@ import random
 import sys
 
 from . import braid, coordring, fock, pbw
+from .linalg import rank
 from .pairing import Pairing, canonical_coords, eq_mod_serre, words_of_weight
 from .rootdata import (CartanType, all_reduced_words, format_word,
                        kostant_count, parse_word, weights_of_height)
@@ -34,34 +35,6 @@ SUITES = ("hopf", "braid", "pairing", "pbw-orth", "transfer", "decomp",
 
 # suites that compare two reduced words or two simple roots
 RANK2_SUITES = ("braid", "koy", "oracle")
-
-
-# ---------------------------------------------------------------------------
-# small exact linear algebra helper
-
-def _rank(rows):
-    """Rank of a list of {key: Scalar} row vectors, by Gaussian elimination."""
-    rows = [dict(r) for r in rows if r]
-    rank = 0
-    while rows:
-        piv = rows.pop()
-        if not piv:
-            continue
-        rank += 1
-        key = next(iter(piv))
-        inv = piv[key].inverse()
-        piv = {k: v * inv for k, v in piv.items()}
-        reduced = []
-        for r in rows:
-            if key in r:
-                c = r[key]
-                r = {k: r.get(k, ZERO) - c * piv.get(k, ZERO)
-                     for k in set(r) | set(piv)}
-                r = {k: v for k, v in r.items() if not v.is_zero()}
-            if r:
-                reduced.append(r)
-        rows = reduced
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +296,7 @@ def suite_pairing(types=("A2", "B2"), height=4):
                             row[fw] = v
                     rows.append(row)
                 want = kostant_count(ct, ga)
-                got = _rank(rows)
+                got = rank(rows)
                 return {"check": "gram rank %s at %s" % (ct.name, list(ga)),
                         "pass": got == want, "got": got, "want": want}
             cases.append(gram_case)
@@ -446,7 +419,7 @@ def suite_decomp(types=("A2", "B2", "G2"), height=4):
                                 * pbw.pbw_monomial(ct, "ehat", word, nsuf))
                         rows.append(canonical_coords(prod))
                     want = kostant_count(ct, ga)
-                    got = _rank(rows)
+                    got = rank(rows)
                     return {"check": "decomp %s cut=%d at %s"
                             % (ct.name, cut, list(ga)),
                             "pass": got == want, "got": got, "want": want}
@@ -679,7 +652,9 @@ def suite_oracle(types=(("A2", 3),), d_reading="qi"):
             bad = [r for r in report if not r["pass"]]
             out = {"check": "oracle %s h<=%d (%d cases, %s reading)"
                    % (ct.name, height, len(report), d_reading),
-                   "pass": not bad}
+                   "pass": not bad,
+                   "phi_checked": len({r["phi"] for r in report}),
+                   "phi_failed": len({r["phi"] for r in bad})}
             if bad:
                 out["witness"] = bad[0]
             return out

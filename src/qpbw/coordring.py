@@ -30,7 +30,8 @@ from functools import lru_cache
 
 from .fock import FockVector, koy_transform, leg_act
 from .pairing import words_of_weight
-from .pbw import indices_of_weight, solve_linear
+from .linalg import kernel, solve_linear
+from .pbw import indices_of_weight
 from .rootdata import CartanType, weights_of_height
 from .scalars import ONE, ZERO, Scalar, qfact, qint
 
@@ -87,21 +88,13 @@ def _mat_is_zero(a):
 
 
 def _mat_inverse(a):
+    """Inverse of the square matrix a: its columns solved against the unit
+    vectors, so column t of the result is the solution for e_t."""
     n = len(a)
-    aug = [list(row) + list(idrow) for row, idrow in zip(a, _identity(n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()),
-                   None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    cols = [{r: a[r][j] for r in range(n) if not a[r][j].is_zero()}
+            for j in range(n)]
+    sol = solve_linear(cols, [{t: ONE} for t in range(n)])
+    return [[sol[t][r] for t in range(n)] for r in range(n)]
 
 
 # -- lowest-weight Verma vectors (dict e-word -> Scalar) --------------------
@@ -208,18 +201,20 @@ class LWModule:
         self.weights = []             # list of gamma (Q-coordinates)
         self.words = {}               # gamma -> selected e-words
         self._gram = {}               # gamma -> Gram matrix of selected
+        self._ginv = {}               # gamma -> its inverse
         frontier = [ct.zero()]
         seen = set(frontier)
         dim = 0
         while frontier:
             nxt = []
             for gamma in sorted(frontier):
-                sel, gram = self._select_words(gamma)
+                sel, gram, ginv = self._select_words(gamma)
                 if not sel:
                     continue
                 self.weights.append(gamma)
                 self.words[gamma] = sel
                 self._gram[gamma] = gram
+                self._ginv[gamma] = ginv
                 dim += len(sel)
                 if dim > self.MAX_DIM:
                     raise ValueError("dimension bound exceeded")
@@ -239,7 +234,8 @@ class LWModule:
         """Maximal subset of e-words of weight gamma with invertible Gram,
         chosen greedily in word order.  A word w joins the selection iff
         its Schur complement s = <w,w> - row G^{-1} col is nonzero, since
-        det(G + w) = det(G) s; G^{-1} then grows by the block formula."""
+        det(G + w) = det(G) s; G^{-1} then grows by the block formula.
+        Returns the selected words, G and G^{-1}."""
         ct, lam = self.ct, self.lam
         sel, gram, ginv = [], [], []
         for w in words_of_weight(ct, gamma):
@@ -260,7 +256,7 @@ class LWModule:
             gram = [grow + [c] for grow, c in zip(gram, col)]
             gram.append(row + [diag])
             sel.append(w)
-        return sel, gram
+        return sel, gram, ginv
 
     def _coords(self, gamma, vec: dict):
         """Coordinates (over the selected words at gamma) of a Verma vector
@@ -268,19 +264,14 @@ class LWModule:
         sel = self.words.get(gamma)
         if not sel:
             return {}
-        target = {}
-        for s, bw in enumerate(sel):
+        target = []
+        for bw in sel:
             val = ZERO
             for w, c in vec.items():
                 val = val + c * _form_words(self.ct, self.lam, bw, w)
-            if not val.is_zero():
-                target[s] = val
-        if not target:
-            return {}
-        gram = self._gram[gamma]
-        cols = [{s: gram[s][j] for s in range(len(sel))}
-                for j in range(len(sel))]
-        sol = solve_linear(cols, [target])[0]
+            target.append(val)
+        # the coordinates x solve G x = target
+        sol = [_dot(row, target) for row in self._ginv[gamma]]
         return {self.index[(gamma, sel[j])]: c
                 for j, c in enumerate(sol) if not c.is_zero()}
 
@@ -496,8 +487,8 @@ def _strings(V: LWModule, i):
     for gamma in V.weights:
         idx = [V.index[(gamma, w)] for w in V.words[gamma]]
         # kernel of f_i on this weight block
-        block = [[V.f_mats[i][r][c] for c in idx] for r in range(V.dim)]
-        kern = _kernel(block)
+        kern = kernel([{r: V.f_mats[i][r][c] for r in range(V.dim)
+                        if not V.f_mats[i][r][c].is_zero()} for c in idx])
         pair = -V._weight_pair(gamma, i)
         if pair % ct.qi(i):
             raise AssertionError("non-integral coroot pairing")
@@ -525,38 +516,6 @@ def _strings(V: LWModule, i):
     Tinv = _mat_inverse(T)
     V._string_cache[i] = (T, Tinv, slots)
     return V._string_cache[i]
-
-
-def _kernel(block):
-    """Basis of the kernel of the matrix (columns over Scalar)."""
-    nrow = len(block)
-    ncol = len(block[0]) if nrow else 0
-    mat = [list(r) for r in block]
-    pivots, row = {}, 0
-    for col in range(ncol):
-        piv = next((r for r in range(row, nrow)
-                    if not mat[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = mat[row][col].inverse()
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(nrow):
-            if r != row and not mat[r][col].is_zero():
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[row])]
-        pivots[col] = row
-        row += 1
-    out = []
-    for col in range(ncol):
-        if col in pivots:
-            continue
-        vec = [ZERO] * ncol
-        vec[col] = ONE
-        for pcol, prow in pivots.items():
-            vec[pcol] = -mat[prow][col]
-        out.append(vec)
-    return out
 
 
 def _leg_poly(V: LWModule, i, u, w):

@@ -21,7 +21,7 @@ The ehat/fhat pair is tau-orthogonal:
 (the pairing of equal plain powers is prod_r c_{q_{i_r}}(n_r)), so hat
 coordinates are a single division and all transitions are routed through
 them; other families are expressed in hat coordinates and inverted per
-weight block by exact Gaussian elimination.
+weight block by the exact Gauss-Jordan elimination of qpbw.linalg.
 
 Weight blocks are kept in one process-wide store: the hat monomials that
 pbw_coords pairs against, the rows of each transition block and each block
@@ -36,10 +36,11 @@ from functools import lru_cache
 
 from .braid import (E_FAMILIES, FAMILIES, FAMILY_ALIASES, F_FAMILIES,
                     root_vector_power)
+from .linalg import solve_linear
 from .pairing import Pairing
 from .rootdata import (CartanType, exponent_weight, prefix_roots,
                        suffix_roots)
-from .scalars import ONE, ZERO, Scalar, c_const, qfact_scalar
+from .scalars import ONE, Scalar, c_const, qfact_scalar
 from .uqcore import UElement, _fword_weight
 
 
@@ -161,39 +162,6 @@ def pbw_coords(ct: CartanType, x: UElement, word, eside=True) -> dict:
         if not val.is_zero():
             out[n] = val / _hat_norm(ct.name, word, n)
     return out
-
-
-# -- exact linear algebra over the Scalar field ----------------------------
-
-def solve_linear(columns, targets):
-    """Solve sum_j a_j columns[j] = t exactly for every t in targets with
-    one elimination; columns and targets are dicts keyed by arbitrary row
-    labels.  Returns one coefficient list per target, or raises ValueError
-    if the system is underdetermined or some target is not in the span."""
-    rows = sorted({r for col in columns for r in col}
-                  | {r for t in targets for r in t}, key=repr)
-    mat = [[col.get(r, ZERO) for col in columns]
-           + [t.get(r, ZERO) for t in targets] for r in rows]
-    ncols = len(columns)
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(mat))
-                    if not mat[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("underdetermined system (rank-deficient basis)")
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = mat[row][col].inverse()
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(len(mat)):
-            if r != row and not mat[r][col].is_zero():
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[row])]
-        row += 1
-    for r in range(row, len(mat)):
-        if any(not v.is_zero() for v in mat[r][ncols:]):
-            raise ValueError("inconsistent system (element not in span)")
-    return [[mat[r][ncols + t] for r in range(ncols)]
-            for t in range(len(targets))]
 
 
 def _family_columns(ct, family, word, gamma, eside):

@@ -561,7 +561,9 @@ class Scalar:
         if len(self.num) > 1:
             ns = "(%s)" % ns
         ds = poly_str(self.den)
-        if len(self.den) > 1:
+        # a bare integer or q^k stays bare; c*q^k needs parentheses, since
+        # 1/2*q reads as q/2
+        if len(self.den) > 1 or "*" in ds:
             ds = "(%s)" % ds
         return "%s/%s" % (ns, ds)
 

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from qpbw import braid, cli, fock, pbw
-from qpbw.rootdata import CartanType
+from qpbw import braid, cli, coordring, fock, pbw
+from qpbw.rootdata import CartanType, all_reduced_words
 from qpbw.scalars import ONE, Scalar
 from qpbw.uqcore import UElement
 
@@ -315,3 +315,29 @@ def test_koy_and_conj1_failures_carry_witnesses(capsys, monkeypatch):
         assert case["witness"] == {"exps": list(first),
                                    "lhs": str(lhs.terms[first]),
                                    "rhs": str(q * lhs.terms[first])}
+
+
+def test_oracle_reports_checked_and_failed_matrix_coefficients(monkeypatch):
+    (case,) = cli.suite_oracle(types=(("A2", 1),))
+    # two 3-dimensional fundamental modules: 2 * 3 * 3 coefficients
+    assert case["pass"] and case["phi_checked"] == 18
+    assert case["phi_failed"] == 0 and "witness" not in case
+    right_koy = coordring.koy_transform
+    q = Scalar.q_power(1)
+
+    def wrong_koy(ct, from_word, to_word, v, *args):
+        # not linear: scale by q whenever v has a vacuum component
+        w = right_koy(ct, from_word, to_word, v, *args)
+        return w.scale(q) if (0,) * len(v.word) in v.terms else w
+
+    monkeypatch.setattr(coordring, "koy_transform", wrong_koy)
+    report = cli.suite_oracle(types=(("A2", 1),))
+    ct = CartanType("A2")
+    words = sorted(all_reduced_words(ct, ct.longest_word()))
+    bad = [r for r in coordring.verify_intertwiner(ct, words[0], words[1], 1)
+           if not r["pass"]]
+    assert len(report) == 1 and not report[0]["pass"]
+    assert report[0]["phi_checked"] == 18
+    assert 0 < report[0]["phi_failed"] == len({r["phi"] for r in bad}) < 18
+    assert report[0]["witness"] == bad[0]
+    assert {"phi", "basis"} <= set(bad[0])

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from qpbw.coordring import (_SUB_FORMS, LWModule, MatCoef, _form_words,
-                            _mat_inverse, _verma_f, act_on_tensor,
-                            build_irrep, fundamental_modules,
+                            _identity, _mat_inverse, _mat_mul, _verma_f,
+                            act_on_tensor, build_irrep, fundamental_modules,
                             verify_intertwiner)
 from qpbw.fock import FockVector
 from qpbw.pairing import words_of_weight
@@ -184,7 +184,7 @@ def test_select_words_matches_exhaustive_gram_inversion():
                 gammas.add(tuple(a + b for a, b in zip(g, ct.alpha(i))))
         for gamma in sorted(gammas):
             got = V._select_words(gamma)
-            assert got == _exhaustive_select(V, gamma), (name, lam, gamma)
+            assert got[:2] == _exhaustive_select(V, gamma), (name, lam, gamma)
             assert got[0] == V.words.get(gamma, [])
 
 
@@ -208,6 +208,11 @@ def test_modules_match_pinned_digests():
     for (name, lam), digest in MODULE_DIGESTS.items():
         V = build_irrep(CartanType(name), lam)
         assert _module_digest(V) == digest, (name, lam)
+        # the G^{-1} that _coords multiplies by is the inverse of the Gram
+        for g in V.weights:
+            n = len(V.words[g])
+            assert _mat_mul(V._ginv[g], V._gram[g]) == _identity(n), \
+                (name, lam, g)
 
 
 def test_g2_adjoint_module():

@@ -1,7 +1,9 @@
 """Exact arithmetic over Z[q, q^-1] and its fraction field."""
 
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -113,6 +115,12 @@ def test_string_form():
     assert str(qint_scalar(2)) == "(q^2 + 1)/q"
     dq = Scalar.q_power(1) - Scalar.q_power(-1)
     assert str(dq.inverse()) == "q/(q^2 - 1)"
+    # a bare integer or q^k denominator stays bare, c*q^k does not
+    half = Scalar.from_int(1) / Scalar.from_int(2)
+    assert str(half) == "1/2"
+    assert str(Scalar.q_power(-3)) == "1/q^3"
+    assert str(half / Scalar.q_power(1)) == "1/(2*q)"
+    assert str(half + half / Scalar.q_power(1)) == "(q + 1)/(2*q)"
 
 
 def test_bar_involution():
@@ -353,12 +361,44 @@ def test_property_str_matches_sympy_cancel(a):
         if len(num.terms()) > 1:
             want = "(%s)" % want
         d = scalars.poly_str(_terms(den))
-        want += "/" + ("(%s)" % d if len(den.terms()) > 1 else d)
+        # only a bare integer or a bare q^k goes unparenthesized
+        bare = len(den.terms()) == 1 and (den.LC() == 1
+                                          or den.degree() == 0)
+        want += "/" + (d if bare else "(%s)" % d)
     assert str(a) == want
     parts = [sympy.sympify(t.replace("^", "**"), locals={"q": Q})
              for t in str(a).split("/")]
     assert sympy.cancel(parts[0] / (parts[1] if len(parts) > 1 else 1)
                         - _sympy(a)) == 0
+
+
+def _load_parse_scalar():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("qpbw_bench_workloads",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.parse_scalar
+
+
+parse_scalar = _load_parse_scalar()
+
+
+@st.composite
+def _monomial_denominators(draw):
+    """num / (c q^k) with c >= 2, the denominators that print as (c*q^k)."""
+    num = draw(_polys) or {0: draw(st.integers(1, 3))}
+    return Scalar(num, {draw(st.integers(1, 4)): draw(st.integers(2, 6))})
+
+
+@settings(PROPS, max_examples=60)
+@given(_monomial_denominators())
+def test_property_monomial_denominator_round_trips(a):
+    text = str(a)
+    # the whole string, read with the usual precedence, is the value
+    value = sympy.sympify(text.replace("^", "**"), locals={"q": Q})
+    assert sympy.cancel(value - _sympy(a)) == 0
+    assert parse_scalar(text) == a
 
 
 def _unreduced(a):

@@ -1,0 +1,54 @@
+"""The benchmark tracer (perfbench/tracer.py) patches qpbw functions by
+name at every module that binds them; a refactor that drops one of the
+import sites it requires makes install() raise.  This checks the contract
+from the program's side: install succeeds and uninstall restores every
+patched name."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import qpbw.cli  # noqa: F401 (loads every qpbw module the tracer patches)
+from qpbw import coordring, linalg, pbw
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("qpbw_bench_tracer",
+                                                  TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _namespaces():
+    mods = {n: m for n, m in sys.modules.items()
+            if m is not None and (n == "qpbw" or n.startswith("qpbw."))}
+    out = {n: dict(vars(m)) for n, m in mods.items()}
+    for n, m in mods.items():
+        for attr, value in vars(m).items():
+            if isinstance(value, type) and value.__module__ == n:
+                out[n + ":" + attr] = dict(vars(value))
+    return out
+
+
+def test_tracer_installs_and_uninstall_restores_every_name():
+    tracer = _load_tracer()
+    before = _namespaces()
+    solve = linalg.solve_linear
+    t = tracer.Tracer()
+    sites = t.install()
+    try:
+        assert set(tracer.REQUIRED_SITES) <= sites
+        assert pbw.solve_linear is not solve
+        assert coordring.solve_linear is pbw.solve_linear
+    finally:
+        t.uninstall()
+    after = _namespaces()
+    assert after.keys() == before.keys()
+    for name, ns in before.items():
+        changed = [k for k in ns if after[name].get(k) is not ns[k]]
+        assert not changed, (name, changed)
+    assert pbw.solve_linear is linalg.solve_linear
+    assert coordring.solve_linear is linalg.solve_linear
