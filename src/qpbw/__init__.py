@@ -2,8 +2,7 @@
 along reduced words, Drinfeld-pairing transition matrices, and specialized
 Soibelman modules over the quantized coordinate algebra."""
 
-from .scalars import LaurentPoly, Scalar, c_const, d_const, qbinom, qfact, \
-    qint
+from .scalars import Scalar, c_const, d_const, qbinom, qfact, qint
 from .rootdata import CartanType, all_reduced_words, exponent_weight, \
     kostant_count, prefix_roots, suffix_roots
 from .uqcore import UElement, UTensor

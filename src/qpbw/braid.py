@@ -55,7 +55,7 @@ words psi reverses the word and swaps e and f.
 from __future__ import annotations
 
 from .rootdata import CartanType
-from .scalars import Scalar, qfact_scalar
+from .scalars import Scalar, qfact
 from .uqcore import (UElement, _add_term, divided_e_power,
                      divided_f_power)
 
@@ -258,5 +258,5 @@ def root_vector_power(ct, family, word, r, n, divided) -> UElement:
     for _ in range(n - 1):
         x = x * v
     if divided:
-        x = x.scale(qfact_scalar(n, ct.qi(word[r - 1])).inverse())
+        x = x.scale(qfact(n, ct.qi(word[r - 1])).inverse())
     return x

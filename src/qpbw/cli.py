@@ -25,7 +25,7 @@ from .linalg import rank
 from .pairing import Pairing, canonical_coords, eq_mod_serre, words_of_weight
 from .rootdata import (CartanType, all_reduced_words, format_word,
                        kostant_count, parse_word, weights_of_height)
-from .scalars import ONE, ZERO, Scalar, c_const, qfact_scalar
+from .scalars import ONE, ZERO, Scalar, c_const, qfact
 from .uqcore import UElement, UTensor, mono_str
 
 TYPE_NAMES = ("A1", "A2", "A3", "B2", "G2")
@@ -346,7 +346,7 @@ def suite_pbw_orth(types=(("A2", 5), ("B2", 5), ("G2", 4))):
                                 for r, nr in enumerate(n):
                                     d = ct.qi(word[r])
                                     want = want * c_const(nr, d) \
-                                        / qfact_scalar(nr, d)
+                                        / qfact(nr, d)
                             if got != want:
                                 ok = False
                                 witness = {"n": list(n), "n2": list(n2),
@@ -496,7 +496,10 @@ def suite_koy(types=("A2", "B2"), height=3, count_height=5, d_reading="qi"):
 # ---------------------------------------------------------------------------
 # conj1 suite
 
-def suite_conj1(types=("A2", "B2"), height=3, d_reading="qi", ladder_n=8):
+LADDER_TOP = 8      # the A1 ladder checks n = 0 .. LADDER_TOP
+
+
+def suite_conj1(types=("A2", "B2"), height=3, d_reading="qi"):
     """Word-independence of the transported e_i operator; A1 ladder."""
     cases = []
     for name in types:
@@ -530,7 +533,7 @@ def suite_conj1(types=("A2", "B2"), height=3, d_reading="qi", ladder_n=8):
         # the ladder alone decides nothing on the requested types
         return []
     a1 = CartanType("A1")
-    for n in range(ladder_n + 1):
+    for n in range(LADDER_TOP + 1):
         def ladder(n=n, a1=a1, d_reading=d_reading):
             v = fock.FockVector.basis(a1, (0,), (n,))
             got = fock.conj1_operator(a1, (0,), 0, v, d_reading, n + 2)
@@ -791,6 +794,10 @@ def cmd_verify(args):
     if args.type == "A1" and args.suite in RANK2_SUITES:
         print("suite %s needs a type of rank 2 or more: A1 has one reduced "
               "word and no braid relation" % args.suite, file=sys.stderr)
+        return 2
+    if args.type not in (None, "A1") and args.suite == "sl2":
+        print("suite sl2 checks A1 only, not %s" % args.type,
+              file=sys.stderr)
         return 2
     report = run_suite(args.suite, type_name=args.type, height=args.height,
                        d_reading=args.d_reading)

@@ -200,20 +200,18 @@ class LWModule:
         ct, lam = self.ct, self.lam
         self.weights = []             # list of gamma (Q-coordinates)
         self.words = {}               # gamma -> selected e-words
-        self._gram = {}               # gamma -> Gram matrix of selected
-        self._ginv = {}               # gamma -> its inverse
+        self._ginv = {}               # gamma -> inverse Gram of selected
         frontier = [ct.zero()]
         seen = set(frontier)
         dim = 0
         while frontier:
             nxt = []
             for gamma in sorted(frontier):
-                sel, gram, ginv = self._select_words(gamma)
+                sel, ginv = self._select_words(gamma)
                 if not sel:
                     continue
                 self.weights.append(gamma)
                 self.words[gamma] = sel
-                self._gram[gamma] = gram
                 self._ginv[gamma] = ginv
                 dim += len(sel)
                 if dim > self.MAX_DIM:
@@ -235,9 +233,9 @@ class LWModule:
         chosen greedily in word order.  A word w joins the selection iff
         its Schur complement s = <w,w> - row G^{-1} col is nonzero, since
         det(G + w) = det(G) s; G^{-1} then grows by the block formula.
-        Returns the selected words, G and G^{-1}."""
+        Returns the selected words and G^{-1}."""
         ct, lam = self.ct, self.lam
-        sel, gram, ginv = [], [], []
+        sel, ginv = [], []
         for w in words_of_weight(ct, gamma):
             col = [_form_words(ct, lam, a, w) for a in sel]
             row = [_form_words(ct, lam, w, b) for b in sel]
@@ -253,10 +251,8 @@ class LWModule:
             ginv = [[g + a * b for g, b in zip(grow, v)] + [-a]
                     for grow, a in zip(ginv, us)]
             ginv.append([-b * sinv for b in v] + [sinv])
-            gram = [grow + [c] for grow, c in zip(gram, col)]
-            gram.append(row + [diag])
             sel.append(w)
-        return sel, gram, ginv
+        return sel, ginv
 
     def _coords(self, gamma, vec: dict):
         """Coordinates (over the selected words at gamma) of a Verma vector
@@ -316,8 +312,8 @@ class LWModule:
             for n in range(top + 1):
                 if n:
                     power = _mat_mul(m, power)
-                row.append(_mat_scale(power, Scalar.from_laurent(
-                    qfact(n).subst_power(self.ct.qi(i))).inverse()))
+                row.append(_mat_scale(power,
+                                      qfact(n, self.ct.qi(i)).inverse()))
             out.append(row)
         return out
 
@@ -464,7 +460,7 @@ def _phi_poly(n: int, j: int, l: int, d: int):
                     key = eps[:r] + (0,) + eps[r + 1:]
                     add = c * Scalar.q_power(exp)
                     nxt[key] = nxt.get(key, ZERO) + add
-        fact = Scalar.from_laurent(qint(step + 1)).inverse()
+        fact = qint(step + 1).inverse()
         emb.append({k: v * fact for k, v in nxt.items() if not v.is_zero()})
     row = next(iter(sorted(emb[j])))
     norm = emb[j][row].inverse()
@@ -502,8 +498,7 @@ def _strings(V: LWModule, i):
                 slots.append((n_str, j))
                 vec = V._apply_mat(V.e_mats[i], vec)
                 if j < n_str:
-                    fact = Scalar.from_laurent(
-                        qint(j + 1).subst_power(ct.qi(i))).inverse()
+                    fact = qint(j + 1, ct.qi(i)).inverse()
                     vec = {r: c * fact for r, c in vec.items()}
             if vec:
                 raise AssertionError("string does not terminate")
@@ -595,7 +590,7 @@ def fundamental_modules(ct: CartanType):
 
 
 def verify_intertwiner(ct: CartanType, from_word, to_word, heightbound,
-                       d_reading: str = "qi", modules=None):
+                       d_reading: str = "qi"):
     """Check, for every matrix coefficient phi of the fundamental modules
     and every basis vector v up to the height bound, that
 
@@ -603,15 +598,13 @@ def verify_intertwiner(ct: CartanType, from_word, to_word, heightbound,
 
     Returns a list of per-case report dicts (key "pass")."""
     from_word, to_word = tuple(from_word), tuple(to_word)
-    if modules is None:
-        modules = fundamental_modules(ct)
     inner = heightbound + 12
     report = []
     exps = []
     for h in range(heightbound + 1):
         for gamma in weights_of_height(ct, h):
             exps.extend(indices_of_weight(ct, "ehat", from_word, gamma))
-    for V in modules:
+    for V in fundamental_modules(ct):
         for s in range(V.dim):
             for t in range(V.dim):
                 phi = MatCoef(V, s, t)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .pbw import emul_constants, stored_block, transition_matrix
 from .rootdata import CartanType, exponent_weight
-from .scalars import ONE, Scalar, d_const, qfact_scalar
+from .scalars import ONE, Scalar, d_const, qfact
 
 DEFAULT_HEIGHT = 5
 
@@ -43,7 +43,7 @@ def d_i_const(ct: CartanType, i: int, n: int, d_reading: str) -> Scalar:
     if d_reading not in D_READINGS:
         raise ValueError("unknown d-reading %r" % d_reading)
     d = ct.qi(i) if d_reading == "qi" else 1
-    return d_const(n, d) * qfact_scalar(n, d)
+    return d_const(n, d) * qfact(n, d)
 
 
 def d_word_const(ct: CartanType, word, n, d_reading: str) -> Scalar:
@@ -101,15 +101,6 @@ class FockVector:
 
     def __hash__(self):
         return hash((self.word, frozenset(self.terms.items())))
-
-    def components(self) -> dict:
-        """Split into weight-homogeneous components, keyed by gamma."""
-        out = {}
-        for n, c in self.terms.items():
-            gamma = exponent_weight(self.ct, self.word, n, "suffix")
-            out.setdefault(gamma, {})[n] = c
-        return {g: FockVector(self.ct, self.word, t)
-                for g, t in out.items()}
 
     def to_json(self):
         return {"word": [i + 1 for i in self.word],

@@ -34,13 +34,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .braid import (E_FAMILIES, FAMILIES, FAMILY_ALIASES, F_FAMILIES,
-                    root_vector_power)
+from .braid import E_FAMILIES, FAMILIES, FAMILY_ALIASES, root_vector_power
 from .linalg import solve_linear
 from .pairing import Pairing
 from .rootdata import (CartanType, exponent_weight, prefix_roots,
                        suffix_roots)
-from .scalars import ONE, Scalar, c_const, qfact_scalar
+from .scalars import ONE, Scalar, c_const, qfact
 from .uqcore import UElement, _fword_weight
 
 
@@ -106,7 +105,7 @@ def _hat_norm(ct_name: str, word, n) -> Scalar:
     for r, nr in enumerate(n):
         if nr:
             d = ct.qi(word[r])
-            total = total * c_const(nr, d) / qfact_scalar(nr, d)
+            total = total * c_const(nr, d) / qfact(nr, d)
     return total
 
 

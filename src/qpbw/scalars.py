@@ -1,10 +1,12 @@
-"""Exact arithmetic in Z[q,q^-1] and the rational function field Q(q).
+"""Exact arithmetic in the rational function field Q(q).
 
-Everything downstream of this module computes with these two types only;
-no floating point anywhere.  LaurentPoly is a sparse exponent->coefficient
-map over arbitrary-precision integers.  Scalar is a reduced fraction of
-two integer polynomials in q (negative exponents are cleared into the
-fraction), so equality is structural.
+Everything downstream of this module computes with one type, Scalar; no
+floating point anywhere.  A Scalar is a reduced fraction of two integer
+polynomials in q (negative exponents are cleared into the fraction), so
+equality is structural.  The q-numbers [n], [n]!, the q-binomials and the
+constants c(n) and d(n) are built as Laurent polynomials, that is as
+exponent -> integer maps with exponents of either sign, and made a Scalar
+once at the end.
 
 Scalar reduces without a polynomial gcd.  Every denominator the engine
 makes is c q^k prod Phi_n^m, a product of cyclotomic polynomials (they come
@@ -29,99 +31,6 @@ def _strip(coeffs):
     return {e: c for e, c in coeffs.items() if c != 0}
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial in q with integer coefficients."""
-
-    __slots__ = ("c", "_hash")
-
-    def __init__(self, coeffs=None):
-        self.c = _strip(coeffs) if coeffs else {}
-        self._hash = None
-
-    @staticmethod
-    def from_int(n):
-        return LaurentPoly({0: n})
-
-    @staticmethod
-    def q_power(k):
-        return LaurentPoly({k: 1})
-
-    def is_zero(self):
-        return not self.c
-
-    def is_one(self):
-        return self.c == {0: 1}
-
-    def __add__(self, other):
-        c = dict(self.c)
-        for e, v in other.c.items():
-            c[e] = c.get(e, 0) + v
-        return LaurentPoly(c)
-
-    def __sub__(self, other):
-        c = dict(self.c)
-        for e, v in other.c.items():
-            c[e] = c.get(e, 0) - v
-        return LaurentPoly(c)
-
-    def __neg__(self):
-        return LaurentPoly({e: -v for e, v in self.c.items()})
-
-    def __mul__(self, other):
-        if not self.c or not other.c:
-            return LaurentPoly()
-        c = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                c[e] = c.get(e, 0) + v1 * v2
-        return LaurentPoly(c)
-
-    def scale_int(self, n):
-        if n == 0:
-            return LaurentPoly()
-        return LaurentPoly({e: n * v for e, v in self.c.items()})
-
-    def shift(self, k):
-        """Multiply by q^k."""
-        return LaurentPoly({e + k: v for e, v in self.c.items()})
-
-    def subst_power(self, d):
-        """Substitute q -> q^d (exponent scaling); d may be negative."""
-        return LaurentPoly({e * d: v for e, v in self.c.items()})
-
-    def bar(self):
-        """The involution q -> q^-1."""
-        return self.subst_power(-1)
-
-    def min_exp(self):
-        return min(self.c) if self.c else 0
-
-    def max_exp(self):
-        return max(self.c) if self.c else 0
-
-    def __pow__(self, n):
-        result = LaurentPoly({0: 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.c == other.c
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self.c.items())))
-        return self._hash
-
-    def __repr__(self):
-        return "LaurentPoly(%s)" % poly_str(self.c)
-
-
 def poly_str(coeffs):
     """Render an exponent map as an integer polynomial, descending exponents."""
     if not coeffs:
@@ -142,7 +51,8 @@ def poly_str(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers on nonnegative-exponent maps (Z[q])
+# polynomial helpers on nonnegative-exponent maps (Z[q]); _pmul also
+# multiplies Laurent maps, whose exponents may be negative
 
 def _pdeg(p):
     return max(p) if p else -1
@@ -243,18 +153,6 @@ def _pdiv_exact(a, b):
         q[dr - db] = t
         r = _psub(r, {e + dr - db: v * t for e, v in b.items()})
     return q
-
-
-def laurent_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact division of Laurent polynomials; raises if not exact."""
-    if b.is_zero():
-        raise ZeroDivisionError("Laurent division by zero")
-    if a.is_zero():
-        return LaurentPoly()
-    sa, sb = a.min_exp(), b.min_exp()
-    pa = {e - sa: v for e, v in a.c.items()}
-    pb = {e - sb: v for e, v in b.c.items()}
-    return LaurentPoly({e + sa - sb: v for e, v in _pdiv_exact(pa, pb).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +336,6 @@ class Scalar:
     @staticmethod
     def from_int(n):
         return _make({0: n} if n else {}, {0: 1}, _UNIT)
-
-    @staticmethod
-    def from_laurent(p: LaurentPoly):
-        s = p.min_exp()
-        if s >= 0:
-            return Scalar(dict(p.c), {0: 1})
-        return Scalar({e - s: v for e, v in p.c.items()}, {-s: 1})
 
     @staticmethod
     def q_power(k):
@@ -871,52 +762,68 @@ ONE = Scalar.from_int(1)
 
 
 # ---------------------------------------------------------------------------
-# q-combinatorics
+# q-combinatorics: each constant's Laurent numerator is an exponent map
+# multiplied out with _pmul; one Scalar is made at the end
 
-def qint(n: int) -> LaurentPoly:
-    """Balanced q-integer (q^n - q^-n)/(q - q^-1)."""
-    if n == 0:
-        return LaurentPoly()
-    if n < 0:
-        return -qint(-n)
-    return LaurentPoly({n - 1 - 2 * k: 1 for k in range(n)})
+def _laurent(p):
+    """The Scalar of a Laurent polynomial p (an exponent map without zero
+    coefficients): a negative lowest exponent is cleared into a q^k
+    denominator."""
+    s = min(p) if p else 0
+    if s >= 0:
+        return _make(p, {0: 1}, _UNIT)
+    return _make({e - s: v for e, v in p.items()}, {-s: 1}, (1, -s, ()))
 
 
-def qfact(n: int) -> LaurentPoly:
-    p = LaurentPoly({0: 1})
+def _qint(n, d):
+    """Exponent map of [n] with q replaced by q^d."""
+    sign, m = (1, n) if n > 0 else (-1, -n)
+    return {d * (m - 1 - 2 * k): sign for k in range(m)}
+
+
+def _qfact(n, d):
+    p = {0: 1}
     for k in range(2, n + 1):
-        p = p * qint(k)
+        p = _pmul(p, _qint(k, d))
     return p
 
 
-def qbinom(n: int, m: int) -> LaurentPoly:
+def qint(n: int, d: int = 1) -> Scalar:
+    """Balanced q-integer (q^n - q^-n)/(q - q^-1) with q replaced by q^d."""
+    return _laurent(_qint(n, d))
+
+
+def qfact(n: int, d: int = 1) -> Scalar:
+    """[n]! = [2][3]...[n] (1 for n < 2) with q replaced by q^d."""
+    return _laurent(_qfact(n, d))
+
+
+def qbinom(n: int, m: int) -> Scalar:
     """Balanced q-binomial coefficient; m >= 0, n may be negative."""
     if m < 0:
         raise ValueError("qbinom needs m >= 0")
-    num = LaurentPoly({0: 1})
+    num = {0: 1}
     for k in range(m):
-        num = num * qint(n - k)
-    return laurent_div_exact(num, qfact(m))
+        num = _pmul(num, _qint(n - k, 1))
+    return Scalar(num, _qfact(m, 1))
 
 
 def c_const(n: int, d: int = 1) -> Scalar:
     """[n]! q^{-n(n-1)/2} (q-q^{-1})^{-n} with q replaced by q^d."""
-    num = qfact(n).shift(-n * (n - 1) // 2)
-    den = (LaurentPoly({1: 1}) - LaurentPoly({-1: 1})) ** n
-    val = Scalar.from_laurent(num) / Scalar.from_laurent(den)
-    return val.subst_q_power(d) if d != 1 else val
+    if n < 0:
+        raise ValueError("c_const needs n >= 0")
+    shift = -d * (n * (n - 1) // 2)
+    den = {0: 1}
+    for _ in range(n):
+        den = _pmul(den, {d: 1, -d: -1})
+    return Scalar({e + shift: v for e, v in _qfact(n, d).items()}, den)
 
 
 def d_const(n: int, d: int = 1) -> Scalar:
     """q^{n(n+1)/2} (q^{-1}-q)^n with q replaced by q^d."""
-    p = (LaurentPoly({-1: 1}) - LaurentPoly({1: 1})) ** n
-    val = Scalar.from_laurent(p.shift(n * (n + 1) // 2))
-    return val.subst_q_power(d) if d != 1 else val
-
-
-def qint_scalar(n: int, d: int = 1) -> Scalar:
-    return Scalar.from_laurent(qint(n).subst_power(d))
-
-
-def qfact_scalar(n: int, d: int = 1) -> Scalar:
-    return Scalar.from_laurent(qfact(n).subst_power(d))
+    if n < 0:
+        raise ValueError("d_const needs n >= 0")
+    p = {d * (n * (n + 1) // 2): 1}
+    for _ in range(n):
+        p = _pmul(p, {-d: 1, d: -1})
+    return _laurent(p)

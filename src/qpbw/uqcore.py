@@ -21,7 +21,7 @@ Hopf structure:
 from __future__ import annotations
 
 from .rootdata import CartanType
-from .scalars import ONE, Scalar, qint_scalar
+from .scalars import ONE, Scalar, qfact
 
 Mono = tuple  # (fword, kappa, eword)
 
@@ -425,16 +425,8 @@ class UTensor:
 
 def divided_e_power(ct, i, n) -> UElement:
     """e_i^{(n)} = e_i^n / [n]_{q_i}!"""
-    x = UElement.e_word(ct, (i,) * n)
-    inv = Scalar.from_int(1)
-    for k in range(2, n + 1):
-        inv = inv * qint_scalar(k, ct.qi(i))
-    return x.scale(inv.inverse())
+    return UElement.e_word(ct, (i,) * n).scale(qfact(n, ct.qi(i)).inverse())
 
 
 def divided_f_power(ct, i, n) -> UElement:
-    x = UElement.f_word(ct, (i,) * n)
-    inv = Scalar.from_int(1)
-    for k in range(2, n + 1):
-        inv = inv * qint_scalar(k, ct.qi(i))
-    return x.scale(inv.inverse())
+    return UElement.f_word(ct, (i,) * n).scale(qfact(n, ct.qi(i)).inverse())

@@ -124,6 +124,17 @@ def test_one_word_type_for_word_comparing_suites(capsys):
         assert "A1" in err and not out
 
 
+def test_sl2_suite_rejects_types_other_than_a1(capsys):
+    # the suite checks A1 only; another type must not pass vacuously
+    for name in ("A2", "B2", "G2"):
+        code, out, err = run(["verify", "sl2", "--type", name], capsys)
+        assert code == 2
+        assert name in err and not out
+    code, out, _ = run(["verify", "sl2", "--type", "A1", "--height", "2"],
+                       capsys)
+    assert code == 0 and "0 failures" in out
+
+
 def test_env_height_not_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("QPBW_HEIGHT", "abc")
     code, out, err = run(["verify", "sl2"], capsys)

@@ -3,11 +3,9 @@
 import hashlib
 import random
 
-import pytest
-
-from qpbw.coordring import (_SUB_FORMS, LWModule, MatCoef, _form_words,
-                            _identity, _mat_inverse, _mat_mul, _verma_f,
-                            act_on_tensor, build_irrep, fundamental_modules,
+from qpbw.coordring import (_SUB_FORMS, MatCoef, _form_words, _identity,
+                            _mat_inverse, _mat_mul, _verma_f, act_on_tensor,
+                            build_irrep, fundamental_modules,
                             verify_intertwiner)
 from qpbw.fock import FockVector
 from qpbw.pairing import words_of_weight
@@ -132,7 +130,8 @@ def test_verify_intertwiner_a2_smoke():
 # sha256 of the basis, the per-weight Gram rows and the generator matrices,
 # pinned from the reference build (every ordering of each weight's letters,
 # one full Gram inversion per candidate word): the fast build must
-# reproduce it exactly
+# reproduce it exactly.  The module keeps only G^{-1}; the Gram rows are
+# rebuilt from the form on the selected words.
 MODULE_DIGESTS = {
     ("G2", (0, -1)):
         "47cb23122647a0bb23ecd5f566ee67b8da74ca46cc525341860dc6a7119b7694",
@@ -145,9 +144,14 @@ MODULE_DIGESTS = {
 }
 
 
+def _gram(V, gamma):
+    sel = V.words[gamma]
+    return [[_form_words(V.ct, V.lam, a, b) for b in sel] for a in sel]
+
+
 def _module_digest(V):
     parts = [repr(V.basis),
-             repr([[[str(x) for x in row] for row in V._gram[g]]
+             repr([[[str(x) for x in row] for row in _gram(V, g)]
                    for g in V.weights])]
     for m in V.e_mats + V.f_mats:
         parts.append(repr([[str(x) for x in row] for row in m]))
@@ -183,9 +187,15 @@ def test_select_words_matches_exhaustive_gram_inversion():
             for i in range(ct.rank):
                 gammas.add(tuple(a + b for a, b in zip(g, ct.alpha(i))))
         for gamma in sorted(gammas):
-            got = V._select_words(gamma)
-            assert got[:2] == _exhaustive_select(V, gamma), (name, lam, gamma)
-            assert got[0] == V.words.get(gamma, [])
+            sel, ginv = V._select_words(gamma)
+            want_sel, want_gram = _exhaustive_select(V, gamma)
+            assert sel == want_sel, (name, lam, gamma)
+            if sel:
+                assert _mat_mul(ginv, want_gram) == _identity(len(sel)), \
+                    (name, lam, gamma)
+            else:
+                assert ginv == []
+            assert sel == V.words.get(gamma, [])
 
 
 def test_form_recursion_matches_f_chain():
@@ -211,7 +221,7 @@ def test_modules_match_pinned_digests():
         # the G^{-1} that _coords multiplies by is the inverse of the Gram
         for g in V.weights:
             n = len(V.words[g])
-            assert _mat_mul(V._ginv[g], V._gram[g]) == _identity(n), \
+            assert _mat_mul(V._ginv[g], _gram(V, g)) == _identity(n), \
                 (name, lam, g)
 
 

@@ -9,7 +9,7 @@ from qpbw.pairing import Pairing, canonical_coords, eq_mod_serre, \
     is_zero_mod_serre, words_of_weight
 from qpbw.pbw import pbw_coords, pbw_monomial
 from qpbw.rootdata import CartanType, weights_of_height
-from qpbw.scalars import Scalar, c_const, qint_scalar
+from qpbw.scalars import Scalar, c_const, qint
 from qpbw.uqcore import UElement, divided_e_power
 
 ONE = Scalar.from_int(1)
@@ -37,7 +37,7 @@ def test_tau_e11_f11():
     # tau(e^2, f^2) = c(2): dividing the e side by [2]! gives c(2)/[2]!,
     # the orthogonality constant of the divided-power bases
     assert pr.tau_words((0, 0), (0, 0)) == c_const(2)
-    two = qint_scalar(2)
+    two = qint(2)
     e2 = divided_e_power(ct, 0, 2)
     f2 = UElement.f_word(ct, (0, 0))
     assert pr.tau(e2, f2) == c_const(2) / two
@@ -94,7 +94,7 @@ def test_weight_mismatch_vanishes():
 def test_serre_element_is_zero():
     ct = CartanType("A2")
     e1, e2 = UElement.e(ct, 0), UElement.e(ct, 1)
-    serre = (e1 * e1 * e2 - (e1 * e2 * e1).scale(qint_scalar(2))
+    serre = (e1 * e1 * e2 - (e1 * e2 * e1).scale(qint(2))
              + e2 * e1 * e1)
     assert not serre.is_zero()  # free normal form is nonzero...
     assert is_zero_mod_serre(serre)  # ...but lies in the Serre ideal

@@ -7,7 +7,7 @@ from qpbw.braid import FAMILIES
 from qpbw.pairing import eq_mod_serre
 from qpbw.rootdata import (CartanType, all_reduced_words, kostant_count,
                            weights_of_height)
-from qpbw.scalars import Scalar, qfact_scalar, qint_scalar
+from qpbw.scalars import Scalar, qfact, qint
 from qpbw.uqcore import UElement
 
 ONE = Scalar.from_int(1)
@@ -17,7 +17,7 @@ def test_divided_power_conventions():
     ct = CartanType("A1")
     e = UElement.e(ct, 0)
     # hat family uses divided powers
-    assert (pbw.pbw_monomial(ct, "ehat", (0,), (3,)).scale(qfact_scalar(3))
+    assert (pbw.pbw_monomial(ct, "ehat", (0,), (3,)).scale(qfact(3))
             == e * e * e)
     # tilde e family uses plain powers
     assert pbw.pbw_monomial(ct, "etilde", (0,), (3,)) == e * e * e
@@ -92,7 +92,7 @@ def test_emul_constants_a1():
     ct = CartanType("A1")
     for n in range(5):
         consts = pbw.emul_constants(ct, (0,), 0, (n,))
-        assert consts == {((n,), (n + 1,)): qint_scalar(n + 1)}
+        assert consts == {((n,), (n + 1,)): qint(n + 1)}
 
 
 def test_emul_constants_vacuum_row():

@@ -1,25 +1,26 @@
-"""Exact arithmetic over Z[q, q^-1] and its fraction field."""
+"""Exact arithmetic in Q(q) and the q-numbers built on it."""
 
 import importlib.util
 import math
 import random
 from pathlib import Path
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from qpbw import braid, pairing, pbw, scalars
 from qpbw.braid import FAMILIES
 from qpbw.rootdata import CartanType, weights_of_height
-from qpbw.scalars import (LaurentPoly, Scalar, c_const, d_const, qbinom,
-                          qfact, qint, qint_scalar, qfact_scalar)
+from qpbw.scalars import Scalar, c_const, d_const, qbinom, qfact, qint
 
-q = LaurentPoly.q_power
-one = LaurentPoly.from_int(1)
+q = Scalar.q_power
+one = Scalar.from_int(1)
 
 
 def lp(coeffs):
-    return LaurentPoly(dict(coeffs))
+    """The Scalar of a Laurent polynomial given as {exponent: integer}."""
+    return Scalar(dict(coeffs))
 
 
 def test_qint_values():
@@ -51,14 +52,13 @@ def test_c_const_values():
     assert c_const(0).is_one()
     dq = Scalar.q_power(1) - Scalar.q_power(-1)
     assert c_const(1) == dq.inverse()
-    want = (Scalar.from_laurent(lp({1: 1, -1: 1})) * Scalar.q_power(-1)
-            * (dq * dq).inverse())
+    want = lp({1: 1, -1: 1}) * Scalar.q_power(-1) * (dq * dq).inverse()
     assert c_const(2) == want
 
 
 def test_d_const_values():
     assert d_const(0).is_one()
-    assert d_const(1) == Scalar.from_laurent(lp({0: 1, 2: -1}))
+    assert d_const(1) == lp({0: 1, 2: -1})
     rev = Scalar.q_power(-1) - Scalar.q_power(1)
     assert d_const(2) == Scalar.q_power(3) * rev * rev
 
@@ -66,7 +66,7 @@ def test_d_const_values():
 def test_c_times_d_bridge():
     # c(n) * d(n) = (-1)^n q^n [n]!
     for n in range(9):
-        want = Scalar.from_int((-1) ** n) * Scalar.q_power(n) * qfact_scalar(n)
+        want = Scalar.from_int((-1) ** n) * Scalar.q_power(n) * qfact(n)
         assert c_const(n) * d_const(n) == want
 
 
@@ -74,9 +74,123 @@ def test_scaled_constants():
     # q_i = q^d versions are plain exponent substitutions
     for n in range(5):
         for d in (1, 2, 3):
-            assert qint_scalar(n, d) == qint_scalar(n, 1).subst_q_power(d)
+            assert qint(n, d) == qint(n, 1).subst_q_power(d)
+            assert qfact(n, d) == qfact(n, 1).subst_q_power(d)
             assert c_const(n, d) == c_const(n, 1).subst_q_power(d)
             assert d_const(n, d) == d_const(n, 1).subst_q_power(d)
+
+
+# Reference: the q-number arithmetic of the former second polynomial type,
+# Laurent polynomials in q over Z as {exponent: integer}, each constant
+# converted to a Scalar only at the end, as the library did before its
+# q-numbers were computed as Scalars.
+
+class _Laurent:
+    def __init__(self, coeffs=None):
+        self.c = {e: v for e, v in (coeffs or {}).items() if v}
+
+    def __add__(self, other):
+        c = dict(self.c)
+        for e, v in other.c.items():
+            c[e] = c.get(e, 0) + v
+        return _Laurent(c)
+
+    def __neg__(self):
+        return _Laurent({e: -v for e, v in self.c.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        c = {}
+        for e1, v1 in self.c.items():
+            for e2, v2 in other.c.items():
+                c[e1 + e2] = c.get(e1 + e2, 0) + v1 * v2
+        return _Laurent(c)
+
+    def __pow__(self, n):
+        out = _Laurent({0: 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def shift(self, k):
+        return _Laurent({e + k: v for e, v in self.c.items()})
+
+    def subst_power(self, d):
+        return _Laurent({e * d: v for e, v in self.c.items()})
+
+    def div_exact(self, other):
+        if not self.c:
+            return _Laurent()
+        sa, sb = min(self.c), min(other.c)
+        quo = scalars._pdiv_exact({e - sa: v for e, v in self.c.items()},
+                                  {e - sb: v for e, v in other.c.items()})
+        return _Laurent({e + sa - sb: v for e, v in quo.items()})
+
+    def scalar(self):
+        s = min(self.c, default=0)
+        if s >= 0:
+            return Scalar(dict(self.c))
+        return Scalar({e - s: v for e, v in self.c.items()}, {-s: 1})
+
+
+def _ref_qint(n):
+    if n < 0:
+        return -_ref_qint(-n)
+    return _Laurent({n - 1 - 2 * k: 1 for k in range(n)})
+
+
+def _ref_qfact(n):
+    p = _Laurent({0: 1})
+    for k in range(2, n + 1):
+        p = p * _ref_qint(k)
+    return p
+
+
+def _ref_qbinom(n, m):
+    num = _Laurent({0: 1})
+    for k in range(m):
+        num = num * _ref_qint(n - k)
+    return num.div_exact(_ref_qfact(m))
+
+
+def _ref_c_const(n, d):
+    num = _ref_qfact(n).shift(-n * (n - 1) // 2)
+    den = (_Laurent({1: 1}) - _Laurent({-1: 1})) ** n
+    val = num.scalar() / den.scalar()
+    return val.subst_q_power(d) if d != 1 else val
+
+
+def _ref_d_const(n, d):
+    p = (_Laurent({-1: 1}) - _Laurent({1: 1})) ** n
+    val = p.shift(n * (n + 1) // 2).scalar()
+    return val.subst_q_power(d) if d != 1 else val
+
+
+def _same(got, want):
+    assert str(got) == str(want) and got == want, (got, want)
+
+
+def test_q_constants_match_laurent_reference():
+    for d in (1, 2, 3):
+        for n in range(-6, 14):
+            _same(qint(n, d), _ref_qint(n).subst_power(d).scalar())
+            _same(qfact(n, d), _ref_qfact(n).subst_power(d).scalar())
+        for n in range(14):
+            _same(c_const(n, d), _ref_c_const(n, d))
+            _same(d_const(n, d), _ref_d_const(n, d))
+    for n in range(-5, 10):
+        for m in range(7):
+            _same(qbinom(n, m), _ref_qbinom(n, m).scalar())
+
+
+def test_q_constants_reject_negative_n():
+    for fn in (c_const, d_const):
+        with pytest.raises(ValueError):
+            fn(-1)
+    with pytest.raises(ValueError):
+        qbinom(3, -1)
 
 
 def _random_scalar(rng):
@@ -112,7 +226,7 @@ def test_canonical_idempotence():
 def test_string_form():
     assert str(Scalar.from_int(-3)) == "-3"
     assert str(Scalar.q_power(2)) == "q^2"
-    assert str(qint_scalar(2)) == "(q^2 + 1)/q"
+    assert str(qint(2)) == "(q^2 + 1)/q"
     dq = Scalar.q_power(1) - Scalar.q_power(-1)
     assert str(dq.inverse()) == "q/(q^2 - 1)"
     # a bare integer or q^k denominator stays bare, c*q^k does not
@@ -124,9 +238,9 @@ def test_string_form():
 
 
 def test_bar_involution():
-    for s in (qint_scalar(3), c_const(2), d_const(2)):
+    for s in (qint(3), c_const(2), d_const(2)):
         assert s.bar().bar() == s
-    assert qint_scalar(4).bar() == qint_scalar(4)
+    assert qint(4).bar() == qint(4)
 
 
 def test_qfact():

@@ -135,7 +135,7 @@ def test_grading_preserved():
 def test_divided_powers():
     ct = CartanType("A1")
     e = UElement.e(ct, 0)
-    two = Scalar.from_laurent(qint(2))
+    two = qint(2)
     assert divided_e_power(ct, 0, 2).scale(two) == e * e
 
 
