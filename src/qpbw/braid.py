@@ -131,18 +131,42 @@ def _gen_image(ct, kind, i, side, j):
     raise ValueError(kind)
 
 
-def _apply(ct, kind, i, x: UElement, plus=False) -> UElement:
-    tab = _gen_table(ct, kind)
+# Images of monomials f_F k_kappa e_E under one operator, for the life of
+# the process: {(type, kind, i, plus, monomial): UElement}.
+_images = {}
+
+
+def _mono_image(ct, kind, i, mono, plus):
+    """The operator's image of one monomial: the image of the monomial
+    without its last letter (f-word, then k-part, then e-word) times the
+    image of that letter."""
+    key = (ct.name, kind, i, plus, mono)
+    y = _images.get(key)
+    if y is not None:
+        return y
+    F, kappa, E = mono
     times = UElement.mul_plus if plus else UElement.__mul__
-    acc = {}
-    for (F, kappa, E), c in x.terms.items():
+    tab = _gen_table(ct, kind)
+    zero = ct.zero()
+    if E:
+        y = times(_mono_image(ct, kind, i, (F, kappa, E[:-1]), plus),
+                  tab[(i, "e", E[-1])])
+    elif kappa != zero:
+        y = times(_mono_image(ct, kind, i, (F, zero, ()), plus),
+                  UElement.k(ct, ct.reflect_q(i, kappa)))
+    elif F:
+        y = times(_mono_image(ct, kind, i, (F[:-1], zero, ()), plus),
+                  tab[(i, "f", F[-1])])
+    else:
         y = UElement.one(ct)
-        for j in F:
-            y = times(y, tab[(i, "f", j)])
-        y = times(y, UElement.k(ct, ct.reflect_q(i, kappa)))
-        for j in E:
-            y = times(y, tab[(i, "e", j)])
-        for m, v in y.terms.items():
+    _images[key] = y
+    return y
+
+
+def _apply(ct, kind, i, x: UElement, plus=False) -> UElement:
+    acc = {}
+    for mono, c in x.terms.items():
+        for m, v in _mono_image(ct, kind, i, mono, plus).terms.items():
             _add_term(acc, m, v * c)
     out = UElement(ct, acc)
     return project_plus(out) if plus else out
@@ -183,8 +207,11 @@ def apply_word(ct, kind, word, x: UElement, inverse=False) -> UElement:
 
 def validate_inverses(ct: CartanType):
     """Round-trip check of the inverse tables modulo the Serre ideal;
-    raises ValueError naming the operator, i, j and the generator."""
+    raises ValueError naming the operator, i, j and the generator.  The
+    memo of monomial images is dropped first, so the check sees the
+    tables as they are now."""
     from .pairing import eq_mod_serre
+    _images.clear()
     for i in range(ct.rank):
         for j in range(ct.rank):
             for side, gen in (("e", UElement.e(ct, j)),

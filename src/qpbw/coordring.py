@@ -50,7 +50,7 @@ def _identity(n):
 
 
 def _mat_mul(a, b):
-    nrow, mid, ncol = len(a), len(b), len(b[0])
+    nrow, mid, ncol = len(a), len(b), len(b[0]) if b else 0
     out = _zeros(nrow, ncol)
     for i in range(nrow):
         ai = a[i]

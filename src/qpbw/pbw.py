@@ -23,6 +23,15 @@ coordinates are a single division and all transitions are routed through
 them; other families are expressed in hat coordinates and inverted per
 weight block by the exact Gauss-Jordan elimination of qpbw.linalg.
 
+tau is bilinear, so pbw_coords pairs x with its weight block through x's
+dual vector: on the e side w[F] = sum_E c_E tau(e_E, f_F) over the words E
+of x, and tau(x, fhat^n) = sum_F w[F] fhat^n_F.  F runs only over the words
+that occur in the block's dual hat monomials, and each w[F] is computed on
+first use, so x meets each such word once instead of once per monomial.
+The f side swaps the roles of E and F.  This needs the dual hat monomials
+to be pure f-words (resp. e-words) without a k-part, which the store
+checks once per block.
+
 Weight blocks are kept in one process-wide store: the hat monomials that
 pbw_coords pairs against, the rows of each transition block and each block
 of e_i structure constants are computed on first request and shared by
@@ -39,7 +48,7 @@ from .linalg import solve_linear
 from .pairing import Pairing
 from .rootdata import (CartanType, exponent_weight, prefix_roots,
                        suffix_roots)
-from .scalars import ONE, Scalar, c_const, qfact
+from .scalars import ONE, ZERO, Scalar, c_const, qfact
 from .uqcore import UElement, _fword_weight
 
 
@@ -129,35 +138,71 @@ def clear_store():
 
 def _dual_hat_block(ct: CartanType, word, gamma, eside) -> dict:
     """{n: hat monomial} of weight gamma that hat coordinates on the e side
-    (eside) or f side pair against: fhat^n, respectively ehat^(n)."""
+    (eside) or f side pair against: fhat^n, respectively ehat^(n).
+
+    pbw_coords pairs these by their words alone, which is tau only for
+    pure f-words (resp. e-words) without a k-part; a block with any other
+    term raises ValueError when it is built."""
     family = "fhat" if eside else "ehat"
     word, gamma = tuple(word), tuple(gamma)
-    return stored_block(
-        ("monomials", ct.name, family, word, gamma),
-        lambda: {n: pbw_monomial(ct, family, word, n)
-                 for n in indices_of_weight(ct, family, word, gamma)})
+
+    def build():
+        block = {n: pbw_monomial(ct, family, word, n)
+                 for n in indices_of_weight(ct, family, word, gamma)}
+        for n, y in block.items():
+            for (F, kappa, E) in y.terms:
+                if any(kappa) or (E if eside else F):
+                    raise ValueError(
+                        "%s monomial %s along %s is not a combination of "
+                        "pure %s-words" % (family, n, word,
+                                           "f" if eside else "e"))
+        return block
+
+    return stored_block(("monomials", ct.name, family, word, gamma), build)
 
 
 def pbw_coords(ct: CartanType, x: UElement, word, eside=True) -> dict:
     """Coordinates of x in the hat-family PBW basis along the word.
 
     x must be a combination of pure e-words (eside) or f-words (not eside),
-    weight homogeneous.  Returns {exponent vector: Scalar}."""
+    weight homogeneous.  Returns {exponent vector: Scalar}.
+
+    The coordinate at n is tau(x, fhat^n) (resp. tau(ehat^(n), x)) over the
+    hat norm.  Both pairings go through x's dual vector w, filled on first
+    use at the words of the weight block's hat monomials: on the e side
+    w[F] = sum_E c_E tau(e_E, f_F) and tau(x, fhat^n) = sum_F w[F]
+    fhat^n_F; on the f side w[E] = sum_F c_F tau(e_E, f_F) and
+    tau(ehat^(n), x) = sum_E ehat^(n)_E w[E]."""
     word = tuple(word)
     if x.is_zero():
         return {}
     gammas = set()
-    for (F, kappa, E) in x.terms:
+    xwords = []
+    for (F, kappa, E), c in x.terms.items():
         if any(kappa) or (F if eside else E):
             raise ValueError("element is not in the expected pure part")
         gammas.add(_fword_weight(ct, E if eside else F))
+        xwords.append((E if eside else F, c))
     if len(gammas) > 1:
         raise ValueError("element is not weight homogeneous")
     gamma = gammas.pop()
-    pr = Pairing(ct)
+    tau = Pairing(ct).tau_words
+    w = {}
     out = {}
     for n, y in _dual_hat_block(ct, word, gamma, eside).items():
-        val = pr.tau(x, y) if eside else pr.tau(y, x)
+        val = ZERO
+        for (F, _, E), cy in y.terms.items():
+            u = F if eside else E
+            wu = w.get(u)
+            if wu is None:
+                wu = ZERO
+                for v, c in xwords:
+                    t = tau(v, u) if eside else tau(u, v)
+                    if not t.is_zero():
+                        wu = wu + c * t
+                w[u] = wu
+            if not wu.is_zero():
+                val = val + wu * cy
         if not val.is_zero():
             out[n] = val / _hat_norm(ct.name, word, n)
     return out

@@ -237,3 +237,50 @@ def test_validate_inverses_names_a_corrupted_entry():
     finally:
         tab[key] = saved
     braid.validate_inverses(ct)
+
+
+def _apply_letter_by_letter(ct, kind, i, x, plus):
+    # the operator image built afresh for every monomial, letter by letter
+    # in f -> k -> e order, without the memo of monomial images
+    tab = braid._gen_table(ct, kind)
+    times = UElement.mul_plus if plus else UElement.__mul__
+    out = UElement.zero(ct)
+    for (F, kappa, E), c in x.terms.items():
+        y = UElement.one(ct)
+        for j in F:
+            y = times(y, tab[(i, "f", j)])
+        y = times(y, UElement.k(ct, ct.reflect_q(i, kappa)))
+        for j in E:
+            y = times(y, tab[(i, "e", j)])
+        out = out + y.scale(c)
+    return braid.project_plus(out) if plus else out
+
+
+def test_memoized_images_match_letter_by_letter_products():
+    rng = random.Random(17)
+    for name in ("A2", "B2", "G2"):
+        ct = CartanType(name)
+        for x in _mixed_elements(ct, rng, 3):
+            i = rng.randrange(ct.rank)
+            for kind in ("dot", "hat", "dot_inv", "hat_inv"):
+                for plus in (False, True):
+                    assert braid._apply(ct, kind, i, x, plus) \
+                        == _apply_letter_by_letter(ct, kind, i, x, plus)
+
+
+def test_second_apply_reads_the_memo(monkeypatch):
+    ct = CartanType("B2")
+    x = (UElement.f_word(ct, (1, 0)) * UElement.k_i(ct, 0)
+         * UElement.e_word(ct, (0, 1, 1))
+         + UElement.e_word(ct, (1, 0)).scale(Scalar.q_power(2)))
+    braid._images.clear()
+    first = braid._apply(ct, "hat", 1, x)
+    assert all((ct.name, "hat", 1, False, m) in braid._images
+               for m in x.terms)
+
+    def no_table(ct, kind):
+        raise AssertionError("image rebuilt instead of read from the memo")
+
+    # a memo hit needs no generator image
+    monkeypatch.setattr(braid, "_gen_table", no_table)
+    assert braid._apply(ct, "hat", 1, x) == first

@@ -1,14 +1,16 @@
 """PBW monomials, weight blocks, transition matrices, e-multiplication."""
 
+import hashlib
+
 import pytest
 
 from qpbw import pbw
-from qpbw.braid import FAMILIES
-from qpbw.pairing import eq_mod_serre
+from qpbw.braid import E_FAMILIES, FAMILIES
+from qpbw.pairing import Pairing, eq_mod_serre
 from qpbw.rootdata import (CartanType, all_reduced_words, kostant_count,
                            weights_of_height)
 from qpbw.scalars import Scalar, qfact, qint
-from qpbw.uqcore import UElement
+from qpbw.uqcore import UElement, _fword_weight
 
 ONE = Scalar.from_int(1)
 
@@ -173,3 +175,101 @@ def test_solve_linear_many_targets_at_once():
         bad = {("not", "in", "span"): ONE}
         with pytest.raises(ValueError, match="not in span"):
             pbw.solve_linear(cols, targets + [bad])
+
+
+def _tau_double_loop(ct, x, y):
+    # tau(x, y) by the bilinear double loop over the word pairs of x and y
+    pr = Pairing(ct)
+    total = Scalar.from_int(0)
+    for (Fx, kap, E), cx in x.terms.items():
+        assert not Fx
+        for (F, mu, Ey), cy in y.terms.items():
+            assert not Ey
+            base = pr.tau_words(E, F)
+            if base.is_zero():
+                continue
+            shift = ct.pair_qq(mu, _fword_weight(ct, F)) \
+                + ct.pair_qq(kap, mu)
+            total = total + base * cx * cy * Scalar.q_power(shift)
+    return total
+
+
+def _coords_by_double_loop(ct, x, word, eside):
+    # hat coordinates with one double loop per dual hat monomial
+    family = "fhat" if eside else "ehat"
+    gamma = x.weight()
+    if not eside:
+        gamma = tuple(-g for g in gamma)
+    out = {}
+    for n in pbw.indices_of_weight(ct, family, word, gamma):
+        y = pbw.pbw_monomial(ct, family, word, n)
+        val = _tau_double_loop(ct, x, y) if eside \
+            else _tau_double_loop(ct, y, x)
+        if not val.is_zero():
+            out[n] = val / pbw._hat_norm(ct.name, word, n)
+    return out
+
+
+def test_pbw_coords_match_the_pairing_double_loop():
+    for name, height in (("A2", 3), ("B2", 3), ("G2", 4)):
+        ct = CartanType(name)
+        wa, wb = sorted(all_reduced_words(ct, ct.longest_word()))
+        for family in FAMILIES:
+            eside = family in E_FAMILIES
+            for h in range(1, height + 1):
+                for ga in weights_of_height(ct, h):
+                    for n in pbw.indices_of_weight(ct, family, wa, ga):
+                        x = pbw.pbw_monomial(ct, family, wa, n)
+                        for word in (wa, wb):
+                            assert pbw.pbw_coords(ct, x, word, eside) \
+                                == _coords_by_double_loop(ct, x, word,
+                                                          eside), \
+                                (name, family, n, word)
+
+
+def _block_sha(block):
+    rows = sorted((n, sorted((n2, str(c)) for n2, c in row.items()))
+                  for n, row in block.items())
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# sha256 of the G2 ehat blocks (0,1,0,1,0,1) -> (1,0,1,0,1,0) as computed
+# with one pairing double loop per monomial pair
+G2_HAT_BLOCK_SHAS = {
+    (2, 4): "cb900b7f59a861b383c32f76f19e36207aaad58946e2a34ae8a20d8808194f75",
+    (3, 4): "46206695956fb7148dc8504b21a10b13c0195948ce81632cef767441d492c579",
+    (3, 5): "a864911c6399f2c88982b890da3c14222c9b8f0af954c146f9b09f8449a44e8e",
+}
+
+
+def test_g2_hat_blocks_match_pinned_shas():
+    ct = CartanType("G2")
+    for ga, sha in G2_HAT_BLOCK_SHAS.items():
+        block = pbw.transition_matrix(ct, "ehat", (0, 1, 0, 1, 0, 1),
+                                      (1, 0, 1, 0, 1, 0), ga)
+        assert _block_sha(block) == sha, ga
+
+
+@pytest.mark.parametrize("eside", [True, False])
+@pytest.mark.parametrize("bad", ["k-part", "wrong side"])
+def test_dual_hat_block_rejects_terms_the_dual_vector_cannot_pair(
+        monkeypatch, eside, bad):
+    ct = CartanType("A2")
+    word = (0, 1, 0)
+    real = pbw.pbw_monomial
+
+    def spoiled(ct, family, word, n):
+        y = real(ct, family, word, n)
+        if bad == "k-part":
+            return y * UElement.k_i(ct, 0)
+        extra = UElement.e(ct, 0) if eside else UElement.f(ct, 0)
+        return y * extra + y
+
+    x = pbw.pbw_monomial(ct, "ehat" if eside else "fhat", word, (1, 1, 0))
+    pbw.clear_store()
+    monkeypatch.setattr(pbw, "pbw_monomial", spoiled)
+    try:
+        with pytest.raises(ValueError, match="not a combination of pure"):
+            pbw.pbw_coords(ct, x, word, eside)
+    finally:
+        pbw.clear_store()
