@@ -26,7 +26,7 @@ from .pairing import Pairing, canonical_coords, eq_mod_serre, words_of_weight
 from .rootdata import (CartanType, all_reduced_words, format_word,
                        kostant_count, parse_word, weights_of_height)
 from .scalars import ONE, ZERO, Scalar, c_const, qfact
-from .uqcore import UElement, UTensor, mono_str
+from .uqcore import UElement, UTensor, _add_term, mono_str
 
 TYPE_NAMES = ("A1", "A2", "A3", "B2", "G2")
 
@@ -85,21 +85,17 @@ def _coproduct_leg(cache, tensor, left):
     for (a, b), c in tensor.terms.items():
         inner = cache.coproduct(a if left else b)
         for (m1, m2), c2 in inner.terms.items():
-            key = (m1, m2, b) if left else (a, m1, m2)
-            cur = out.get(key, ZERO) + c * c2
-            if cur.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = cur
+            _add_term(out, (m1, m2, b) if left else (a, m1, m2), c * c2)
     return out
 
 
 def _counit_leg(ct, tensor, left):
-    acc = UElement.zero(ct)
+    acc = {}
     for (a, b), c in tensor.terms.items():
         eps = _mono_elt(ct, a if left else b).counit()
-        acc = acc + _mono_elt(ct, b if left else a).scale(c * eps)
-    return acc
+        if not eps.is_zero():
+            _add_term(acc, b if left else a, c * eps)
+    return UElement(ct, acc)
 
 
 def _antipode_convolution(cache, tensor, s_left):
@@ -107,29 +103,46 @@ def _antipode_convolution(cache, tensor, s_left):
     terms = {}
     for (a, b), c in tensor.terms.items():
         for m, cm in cache.antipode_product(a, b, s_left).terms.items():
-            cur = terms.get(m, ZERO) + c * cm
-            if cur.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = cur
+            _add_term(terms, m, c * cm)
     return UElement(cache.ct, terms)
 
 
-def _hopf_case(cache, label, x, delta):
+def _hopf_sides(cache, x, delta):
+    """Both sides of each Hopf axiom on x, as term dicts, in check order,
+    with the function that prints a key of them."""
     ct = cache.ct
-    ok = (_counit_leg(ct, delta, True) == x
-          and _counit_leg(ct, delta, False) == x
-          and _coproduct_leg(cache, delta, True)
-          == _coproduct_leg(cache, delta, False))
-    if ok:
-        unit = UElement.one(ct).scale(x.counit())
-        ok = (_antipode_convolution(cache, delta, True) == unit
-              and _antipode_convolution(cache, delta, False) == unit)
-    return {"check": "hopf %s %s" % (ct.name, label), "pass": ok}
+    yield "counit left", _counit_leg(ct, delta, True).terms, x.terms, mono_str
+    yield ("counit right", _counit_leg(ct, delta, False).terms, x.terms,
+           mono_str)
+    yield ("coassociativity", _coproduct_leg(cache, delta, True),
+           _coproduct_leg(cache, delta, False),
+           lambda key: " (x) ".join(mono_str(m) for m in key))
+    unit = UElement.one(ct).scale(x.counit()).terms
+    yield ("antipode left", _antipode_convolution(cache, delta, True).terms,
+           unit, mono_str)
+    yield ("antipode right",
+           _antipode_convolution(cache, delta, False).terms, unit, mono_str)
+
+
+def _hopf_case(cache, label, x, delta):
+    """The Hopf axioms on x; a failure names the first failed axiom and its
+    least differing term, with the coefficients of both sides."""
+    out = {"check": "hopf %s %s" % (cache.ct.name, label), "pass": True}
+    for axiom, lhs, rhs, show in _hopf_sides(cache, x, delta):
+        if lhs != rhs:
+            key = min(k for k in lhs.keys() | rhs.keys()
+                      if lhs.get(k, ZERO) != rhs.get(k, ZERO))
+            out["pass"] = False
+            out["witness"] = {"axiom": axiom, "term": show(key),
+                              "lhs": str(lhs.get(key, ZERO)),
+                              "rhs": str(rhs.get(key, ZERO))}
+            break
+    return out
 
 
 def suite_hopf(types=("A2", "B2"), length=4):
-    """Counit, coassociativity and antipode axioms on all generator words."""
+    """Counit, coassociativity and antipode axioms on all generator words,
+    each checked as the pre-order walk over the words reaches it."""
     cases = []
     for name in types:
         ct = CartanType(name)
@@ -142,9 +155,8 @@ def suite_hopf(types=("A2", "B2"), length=4):
                      range(ct.rank)]
         alphabet = [(tag, gen, gen.coproduct()) for tag, gen in alphabet]
 
-        def walk(label, x, delta, depth, cache=cache, alphabet=alphabet):
-            cases.append(lambda cache=cache, label=label, x=x, delta=delta:
-                         _hopf_case(cache, label or "1", x, delta))
+        def walk(label, x, delta, depth):
+            cases.append(_hopf_case(cache, label or "1", x, delta))
             if depth == 0:
                 return
             for tag, gen, gencp in alphabet:
@@ -152,7 +164,7 @@ def suite_hopf(types=("A2", "B2"), length=4):
                      delta * gencp, depth - 1)
 
         walk("", UElement.one(ct), UTensor.one(ct), length)
-    return [case() for case in cases]
+    return cases
 
 
 # ---------------------------------------------------------------------------

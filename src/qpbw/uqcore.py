@@ -16,6 +16,13 @@ Hopf structure:
     Delta(f_i) = f_i x k_i^{-1} + 1 x f_i   eps(f_i) = 0
     Delta(k_g) = k_g x k_g                  eps(k_g) = 1
     S(e_i) = -k_i^{-1} e_i,  S(f_i) = -f_i k_i,  S(k_g) = k_{-g}.
+
+Memo: UTensor products, which repeat the same few monomial products across
+the coproducts of a word, read each monomial product m1 * m2 from one
+process-wide dict, _products, keyed by (type name, m1, m2) and filled on
+first request.  Its term dicts are shared between callers and never
+mutated; the dict is never cleared, as it is bounded by the monomials a
+process meets.
 """
 
 from __future__ import annotations
@@ -164,7 +171,7 @@ class UElement:
 
     def coproduct(self) -> "UTensor":
         ct = self.ct
-        out = UTensor.zero(ct)
+        acc = {}
         for (F, kappa, E), c in self.terms.items():
             t = UTensor.one(ct)
             for j in F:
@@ -172,8 +179,9 @@ class UElement:
             t = t * UTensor(ct, {(((), kappa, ()), ((), kappa, ())): ONE})
             for j in E:
                 t = t * _DELTA_CACHE(ct, "e", j)
-            out = out + t.scale(c)
-        return out
+            for p, cp in t.terms.items():
+                _add_term(acc, p, cp * c)
+        return UTensor(ct, acc)
 
     def antipode(self):
         return self._anti_map(_S_GEN)
@@ -183,15 +191,16 @@ class UElement:
 
     def _anti_map(self, gen_images):
         ct = self.ct
-        out = UElement.zero(ct)
+        acc = {}
         for (F, kappa, E), c in self.terms.items():
             x = UElement.k(ct, tuple(-g for g in kappa))
             for j in E:
                 x = gen_images(ct, "e", j) * x
             for j in reversed(F):
                 x = x * gen_images(ct, "f", j)
-            out = out + x.scale(c)
-        return out
+            for m, cm in x.terms.items():
+                _add_term(acc, m, cm * c)
+        return UElement(ct, acc)
 
     def psi(self):
         """The Q(q)-linear anti-involution e_i <-> f_i fixing every k.  It
@@ -205,7 +214,7 @@ class UElement:
         """Ring involution q -> q^{-1}, k -> k^{-1}, e_i -> -k_i^{-1} e_i,
         f_i -> -f_i k_i (a homomorphism, semilinear over q -> q^{-1})."""
         ct = self.ct
-        out = UElement.zero(ct)
+        acc = {}
         for (F, kappa, E), c in self.terms.items():
             x = UElement.one(ct)
             for j in F:
@@ -213,8 +222,10 @@ class UElement:
             x = x * UElement.k(ct, tuple(-g for g in kappa))
             for j in E:
                 x = x * (-(UElement.k_i(ct, j, -1) * UElement.e(ct, j)))
-            out = out + x.scale(c.bar())
-        return out
+            cbar = c.bar()
+            for m, cm in x.terms.items():
+                _add_term(acc, m, cm * cbar)
+        return UElement(ct, acc)
 
     # -- display --------------------------------------------------------
     def __repr__(self):
@@ -299,17 +310,21 @@ def _rmul_f(ct: CartanType, terms: dict, j: int, plus=False) -> dict:
         if not plus:
             shift = -ct.pair_qq(kappa, alpha_j)
             _add_term(acc, (F + (j,), kappa, E), c * Scalar.q_power(shift))
-        # commutator terms, one per e_j letter in E
+        if j not in E:
+            continue
+        # commutator terms, one per e_j letter in E, each a q-shift of
+        # c / (q_j - q_j^{-1})
+        cd = c / denom
+        kp = tuple(a + b for a, b in zip(kappa, alpha_j))
+        km = tuple(a - b for a, b in zip(kappa, alpha_j))
         for p, i in enumerate(E):
             if i != j:
                 continue
             w = _fword_weight(ct, E[:p])
             E2 = E[:p] + E[p + 1:]
             s = ct.pair_qq(alpha_j, w)
-            kp = tuple(a + b for a, b in zip(kappa, alpha_j))
-            km = tuple(a - b for a, b in zip(kappa, alpha_j))
-            _add_term(acc, (F, kp, E2), c * Scalar.q_power(-s) / denom)
-            _add_term(acc, (F, km, E2), -(c * Scalar.q_power(s) / denom))
+            _add_term(acc, (F, kp, E2), cd * Scalar.q_power(-s))
+            _add_term(acc, (F, km, E2), -(cd * Scalar.q_power(s)))
     return acc
 
 
@@ -325,6 +340,20 @@ def _SINV_GEN(ct, kind, j):
     if kind == "e":
         return -(UElement.e(ct, j) * UElement.k_i(ct, j, -1))
     return -(UElement.k_i(ct, j) * UElement.f(ct, j))
+
+
+# (type name, m1, m2) -> term dict of m1 * m2; see the module docstring.
+_products = {}
+
+
+def _mono_product(ct, m1, m2):
+    """The normal form of the monomial product m1 * m2, as a term dict that
+    the caller must not mutate."""
+    key = (ct.name, m1, m2)
+    t = _products.get(key)
+    if t is None:
+        t = _products[key] = _rmul_mono(ct, {m1: ONE}, m2)
+    return t
 
 
 _delta_cache = {}
@@ -394,15 +423,13 @@ class UTensor:
         ct = self.ct
         acc = {}
         for (a1, b1), c1 in self.terms.items():
-            x1 = UElement(ct, {a1: ONE})
-            y1 = UElement(ct, {b1: ONE})
             for (a2, b2), c2 in other.terms.items():
-                left = x1._mul_mono(a2)
-                right = y1._mul_mono(b2)
+                right = _mono_product(ct, b1, b2)
                 cc = c1 * c2
-                for ma, ca in left.items():
+                for ma, ca in _mono_product(ct, a1, a2).items():
+                    cca = cc * ca
                     for mb, cb in right.items():
-                        _add_term(acc, (ma, mb), cc * ca * cb)
+                        _add_term(acc, (ma, mb), cca * cb)
         return UTensor(ct, acc)
 
     def __eq__(self, other):

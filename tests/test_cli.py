@@ -1,13 +1,14 @@
 """Command-line interface: exit codes, JSON schema, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
-from qpbw import braid, cli, coordring, fock, pbw
+from qpbw import braid, cli, coordring, fock, pbw, uqcore
 from qpbw.rootdata import CartanType, all_reduced_words
 from qpbw.scalars import ONE, Scalar
-from qpbw.uqcore import UElement
+from qpbw.uqcore import UElement, UTensor
 
 
 def run(argv, capsys):
@@ -352,3 +353,71 @@ def test_oracle_reports_checked_and_failed_matrix_coefficients(monkeypatch):
     assert 0 < report[0]["phi_failed"] == len({r["phi"] for r in bad}) < 18
     assert report[0]["witness"] == bad[0]
     assert {"phi", "basis"} <= set(bad[0])
+
+
+# sha256 of the default hopf case labels, "<type> <label>" one per line in
+# suite order (3110 cases: A2 and B2 words up to length 4).
+HOPF_LABELS_SHA256 = \
+    "652a508887685126ebc3103a1d48e24d2ede652ff4f677dc3a97d7ce2a8785d7"
+
+
+def test_hopf_default_case_labels_pinned(monkeypatch):
+    labels = []
+
+    def record(cache, label, x, delta):
+        labels.append("%s %s" % (cache.ct.name, label))
+        return {"check": label, "pass": True}
+
+    monkeypatch.setattr(cli, "_hopf_case", record)
+    assert len(cli.run_suite("hopf")) == 3110
+    assert hashlib.sha256("\n".join(labels).encode()).hexdigest() \
+        == HOPF_LABELS_SHA256
+
+
+def _hopf_failures():
+    res = cli.suite_hopf(("A2",), 2)
+    assert len(res) == 43
+    return [r for r in res if not r["pass"]]
+
+
+def test_hopf_suite_passes_without_corruption():
+    assert _hopf_failures() == []
+
+
+def test_hopf_wrong_antipode_fails_with_witness(monkeypatch):
+    real = uqcore._S_GEN
+
+    def wrong_sign_on_e(ct, kind, j):
+        image = real(ct, kind, j)
+        return -image if kind == "e" else image
+
+    monkeypatch.setattr(uqcore, "_S_GEN", wrong_sign_on_e)
+    bad = _hopf_failures()
+    assert bad[0] == {"check": "hopf A2 e1", "pass": False,
+                      "witness": {"axiom": "antipode left",
+                                  "term": "k[-1,0]*e1",
+                                  "lhs": "2", "rhs": "0"}}
+    assert all(r["witness"]["axiom"].startswith("antipode") for r in bad)
+
+
+# monomials of A2: 1, e1 and k1
+_ONE, _E1, _K1 = ((), (0, 0), ()), ((), (0, 0), (0,)), ((), (1, 0), ())
+
+
+@pytest.mark.parametrize("extra, witness", [
+    ((_K1, _E1), {"axiom": "counit left", "term": "e1",
+                  "lhs": "2", "rhs": "1"}),
+    ((_E1, _E1), {"axiom": "coassociativity", "term": "e1 (x) 1 (x) e1",
+                  "lhs": "1", "rhs": "0"}),
+], ids=["counit", "coassociativity"])
+def test_hopf_wrong_coproduct_fails_with_witness(monkeypatch, extra,
+                                                 witness):
+    """Delta(e1) = e1 (x) 1 + k1 (x) e1, plus one more term."""
+    terms = {(_E1, _ONE): ONE, (_K1, _E1): ONE}
+    terms[extra] = terms.get(extra, Scalar.from_int(0)) + ONE
+    monkeypatch.setitem(uqcore._delta_cache, ("A2", "e", 0),
+                        UTensor(CartanType("A2"), terms))
+    bad = _hopf_failures()
+    assert bad[0] == {"check": "hopf A2 e1", "pass": False,
+                      "witness": witness}
+    assert all(r["witness"]["axiom"] == witness["axiom"] for r in bad)

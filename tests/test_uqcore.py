@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from qpbw import uqcore
 from qpbw.rootdata import CartanType
 from qpbw.scalars import Scalar
 from qpbw.scalars import qint
@@ -143,3 +146,126 @@ def test_debug_serialization():
     ct = CartanType("A2")
     x = UElement.f(ct, 0) * UElement.k(ct, (1, -1)) * UElement.e(ct, 0)
     assert "f1" in repr(x) and "e1" in repr(x) and "k[1,-1]" in repr(x)
+
+
+# -- differential tests: the memoized tensor product and the one-division
+# f-commutator against the plain loops they replace --------------------
+
+def _ref_rmul_f(ct, terms, j, plus=False):
+    """Right multiplication by f_j, dividing each commutator term by
+    q_j - q_j^{-1} on its own."""
+    alpha_j = ct.alpha(j)
+    dj = ct.qi(j)
+    denom = Scalar.q_power(dj) - Scalar.q_power(-dj)
+    acc = {}
+    for (F, kappa, E), c in terms.items():
+        if not plus:
+            shift = -ct.pair_qq(kappa, alpha_j)
+            uqcore._add_term(acc, (F + (j,), kappa, E),
+                             c * Scalar.q_power(shift))
+        for p, i in enumerate(E):
+            if i != j:
+                continue
+            w = uqcore._fword_weight(ct, E[:p])
+            E2 = E[:p] + E[p + 1:]
+            s = ct.pair_qq(alpha_j, w)
+            kp = tuple(a + b for a, b in zip(kappa, alpha_j))
+            km = tuple(a - b for a, b in zip(kappa, alpha_j))
+            uqcore._add_term(acc, (F, kp, E2),
+                             c * Scalar.q_power(-s) / denom)
+            uqcore._add_term(acc, (F, km, E2),
+                             -(c * Scalar.q_power(s) / denom))
+    return acc
+
+
+def _ref_rmul_mono(ct, terms, mono):
+    F, kappa, E = mono
+    cur = dict(terms)
+    for j in F:
+        cur = _ref_rmul_f(ct, cur, j)
+    if any(kappa):
+        cur = uqcore._rmul_k(ct, cur, kappa)
+    for j in E:
+        cur = uqcore._rmul_e(cur, j)
+    return cur
+
+
+def _ref_tensor_mul(x, y):
+    """x * y in U x U, each monomial product recomputed where it is used."""
+    ct = x.ct
+    acc = {}
+    for (a1, b1), c1 in x.terms.items():
+        for (a2, b2), c2 in y.terms.items():
+            left = _ref_rmul_mono(ct, {a1: ONE}, a2)
+            right = _ref_rmul_mono(ct, {b1: ONE}, b2)
+            cc = c1 * c2
+            for ma, ca in left.items():
+                for mb, cb in right.items():
+                    uqcore._add_term(acc, (ma, mb), cc * ca * cb)
+    return UTensor(ct, acc)
+
+
+def _random_mono(ct, rng, max_len=3):
+    def word():
+        return tuple(rng.randrange(ct.rank)
+                     for _ in range(rng.randint(0, max_len)))
+    return word(), tuple(rng.randint(-2, 2) for _ in range(ct.rank)), word()
+
+
+def _random_coeff(rng):
+    c = Scalar.from_int(rng.choice((-3, -1, 1, 2, 5)))
+    c = c * Scalar.q_power(rng.randint(-2, 2))
+    if rng.random() < 0.5:
+        c = c / qint(rng.randint(2, 3))
+    return c
+
+
+def _random_tensor(ct, rng):
+    return UTensor(ct, {(_random_mono(ct, rng), _random_mono(ct, rng)):
+                        _random_coeff(rng)
+                        for _ in range(rng.randint(2, 4))})
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_rmul_f_matches_reference(name):
+    rng = random.Random(31)
+    ct = CartanType(name)
+    for _ in range(40):
+        terms = {_random_mono(ct, rng, 4): _random_coeff(rng)
+                 for _ in range(rng.randint(1, 4))}
+        j = rng.randrange(ct.rank)
+        for plus in (False, True):
+            assert uqcore._rmul_f(ct, terms, j, plus) \
+                == _ref_rmul_f(ct, terms, j, plus)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_tensor_mul_matches_reference(name):
+    rng = random.Random(37)
+    ct = CartanType(name)
+    for _ in range(12):
+        x, y = _random_tensor(ct, rng), _random_tensor(ct, rng)
+        got = x * y
+        assert got == _ref_tensor_mul(x, y)
+        # the same product again comes from the memo, unchanged
+        assert x * y == got
+
+
+def test_tensor_mul_reads_memo(monkeypatch):
+    ct = CartanType("B2")
+    rng = random.Random(41)
+    x, y = _random_tensor(ct, rng), _random_tensor(ct, rng)
+    first = x * y
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("a memoized monomial product was recomputed")
+
+    monkeypatch.setattr(uqcore, "_rmul_mono", recompute)
+    assert x * y == first
+    monkeypatch.undo()
+    # the shared entries still hold the products they were built from
+    for (a1, b1) in x.terms:
+        for (a2, b2) in y.terms:
+            for m1, m2 in ((a1, a2), (b1, b2)):
+                assert uqcore._products[(ct.name, m1, m2)] \
+                    == uqcore._rmul_mono(ct, {m1: ONE}, m2)
