@@ -12,7 +12,7 @@ from .pbw import emul_constants, expand_in_family, indices_of_weight, \
     pbw_coords, pbw_monomial, transition_matrix
 from .fock import FockVector, TruncationError, conj1_operator, \
     koy_transform, sigma_scalar, sl2_act
-from .coordring import LWModule, MatCoef, act_on_tensor, build_irrep, \
-    fundamental_modules, verify_intertwiner
+from .coordring import LWModule, MatCoef, act_on_tensor, \
+    act_row_on_tensor, build_irrep, fundamental_modules, verify_intertwiner
 
 __version__ = "0.1.0"

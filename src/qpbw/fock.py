@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .pbw import emul_constants, stored_block, transition_matrix
 from .rootdata import CartanType, exponent_weight
-from .scalars import ONE, Scalar, d_const, qfact
+from .scalars import ONE, ZERO, Scalar, d_const, qfact
 
 DEFAULT_HEIGHT = 5
 
@@ -46,12 +46,23 @@ def d_i_const(ct: CartanType, i: int, n: int, d_reading: str) -> Scalar:
     return d_const(n, d) * qfact(n, d)
 
 
+# (type name, word, n, reading) -> d_word_const; Scalars are immutable, so
+# the entries are shared.
+_D_WORD = {}
+
+
 def d_word_const(ct: CartanType, word, n, d_reading: str) -> Scalar:
-    total = ONE
-    for i, nr in zip(word, n):
-        if nr:
-            total = total * d_i_const(ct, i, nr, d_reading)
-    return total
+    """prod_r d_{i_r}(n_r) along the word, computed once per (type, word,
+    n, reading)."""
+    key = (ct.name, tuple(word), tuple(n), d_reading)
+    val = _D_WORD.get(key)
+    if val is None:
+        val = ONE
+        for i, nr in zip(word, n):
+            if nr:
+                val = val * d_i_const(ct, i, nr, d_reading)
+        _D_WORD[key] = val
+    return val
 
 
 class FockVector:
@@ -85,7 +96,7 @@ class FockVector:
             raise ValueError("vectors live in modules of different words")
         terms = dict(self.terms)
         for n, c in other.terms.items():
-            terms[n] = terms.get(n, Scalar.from_int(0)) + c
+            terms[n] = terms.get(n, ZERO) + c
         return FockVector(self.ct, self.word, terms)
 
     def __sub__(self, other):
@@ -134,7 +145,7 @@ def sl2_act(ct: CartanType, g: str, i: int, v: FockVector) -> FockVector:
         coeff, n2 = _leg_act(ct, g, i, n)
         if coeff is not None:
             key = (n2,)
-            terms[key] = terms.get(key, Scalar.from_int(0)) + c * coeff
+            terms[key] = terms.get(key, ZERO) + c * coeff
     return FockVector(ct, v.word, terms)
 
 
@@ -164,7 +175,7 @@ def leg_act(ct, g, r, v: FockVector) -> FockVector:
         coeff, nr2 = _leg_act(ct, g, i, n[r])
         if coeff is not None:
             key = n[:r] + (nr2,) + n[r + 1:]
-            terms[key] = terms.get(key, Scalar.from_int(0)) + c * coeff
+            terms[key] = terms.get(key, ZERO) + c * coeff
     return FockVector(ct, v.word, terms)
 
 

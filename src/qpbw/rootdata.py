@@ -178,6 +178,11 @@ def all_reduced_words(ct: CartanType, word) -> frozenset:
 
 def suffix_roots(ct: CartanType, word):
     """beta_r = s_{i_m} ... s_{i_{r+1}} (alpha_{i_r}) for r = 1..m."""
+    return _suffix_roots(ct, tuple(word))
+
+
+@lru_cache(maxsize=None)
+def _suffix_roots(ct: CartanType, word):
     m = len(word)
     out = []
     for r in range(m):
@@ -190,6 +195,11 @@ def suffix_roots(ct: CartanType, word):
 
 def prefix_roots(ct: CartanType, word):
     """beta_r = s_{i_1} ... s_{i_{r-1}} (alpha_{i_r}) for r = 1..m."""
+    return _prefix_roots(ct, tuple(word))
+
+
+@lru_cache(maxsize=None)
+def _prefix_roots(ct: CartanType, word):
     out = []
     for r in range(len(word)):
         v = ct.alpha(word[r])

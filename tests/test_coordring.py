@@ -1,15 +1,19 @@
 """Lowest-weight modules, matrix coefficients, tensor-module action."""
 
 import hashlib
+import json
 import random
 
-from qpbw.coordring import (_SUB_FORMS, MatCoef, _form_words, _identity,
-                            _mat_inverse, _mat_mul, _verma_f, act_on_tensor,
-                            build_irrep, fundamental_modules,
-                            verify_intertwiner)
+import pytest
+
+from qpbw.coordring import (_SUB_FORMS, MatCoef, _apply_leg, _form_words,
+                            _identity, _mat_inverse, _mat_mul, _verma_f,
+                            act_on_tensor, act_row_on_tensor, build_irrep,
+                            fundamental_modules, verify_intertwiner)
 from qpbw.fock import FockVector
 from qpbw.pairing import words_of_weight
-from qpbw.rootdata import CartanType, weights_of_height
+from qpbw.pbw import indices_of_weight
+from qpbw.rootdata import CartanType, all_reduced_words, weights_of_height
 from qpbw.scalars import Scalar
 from qpbw.uqcore import UElement
 
@@ -125,6 +129,89 @@ def test_verify_intertwiner_a2_smoke():
     ct = CartanType("A2")
     rep = verify_intertwiner(ct, (1, 0, 1), (0, 1, 0), 2)
     assert rep and all(r["pass"] for r in rep)
+
+
+def _act_by_paths(phi, word, v):
+    # reference: the iterated coproduct summed one path j_1 ... j_{m-1} at
+    # a time, one chain of legs per path
+    V, m = phi.module, len(word)
+
+    def rec(r, u, vec):
+        if r == m - 1:
+            return _apply_leg(V, word[r], u, phi.col, r, vec)
+        total = FockVector.zero(v.ct, word)
+        for j in range(V.dim):
+            piece = _apply_leg(V, word[r], u, j, r, vec)
+            if not piece.is_zero():
+                total = total + rec(r + 1, j, piece)
+        return total
+
+    return rec(0, phi.row, v)
+
+
+def _oracle_vectors(ct, word, height):
+    vectors = [FockVector.basis(ct, word, n)
+               for h in range(height + 1)
+               for gamma in weights_of_height(ct, h)
+               for n in indices_of_weight(ct, "ehat", word, gamma)]
+    mixed = FockVector.zero(ct, word)
+    for k, v in enumerate(vectors):
+        mixed = mixed + v.scale(Scalar.q_power(k) + Scalar.from_int(k))
+    return vectors + [mixed]
+
+
+def test_row_action_matches_the_per_path_sum():
+    cases = [(name, lam, 2) for name in ("A2", "B2")
+             for lam in ((-1, 0), (0, -1))] + [("A3", (-1, 0, 0), 0)]
+    for name, lam, height in cases:
+        ct = CartanType(name)
+        V = build_irrep(ct, lam)
+        for word in sorted(all_reduced_words(ct, ct.longest_word()))[:2]:
+            for v in _oracle_vectors(ct, word, height):
+                for s in range(V.dim):
+                    row = act_row_on_tensor(V, s, word, v)
+                    assert len(row) == V.dim
+                    for t in range(V.dim):
+                        phi = MatCoef(V, s, t)
+                        want = _act_by_paths(phi, word, v)
+                        assert row[t] == want, (name, lam, word, s, t)
+                        assert act_on_tensor(phi, word, v) == want
+
+
+def test_row_action_rejects_a_foreign_or_empty_word():
+    ct = CartanType("A2")
+    V = build_irrep(ct, (-1, 0))
+    phi = MatCoef(V, 0, 1)
+    v = FockVector.vacuum(ct, (0, 1, 0))
+    empty = FockVector.vacuum(ct, ())
+    for act in (lambda w, x: act_on_tensor(phi, w, x),
+                lambda w, x: act_row_on_tensor(V, 0, w, x)):
+        with pytest.raises(ValueError, match="vector does not live on"):
+            act((1, 0, 1), v)
+        with pytest.raises(ValueError, match="empty word"):
+            act((), empty)
+
+
+# sha256 of json.dumps(report, sort_keys=True), pinned from the per-path
+# oracle; the B2 q-reading case is refuted, so its digest also pins the
+# lhs/rhs failure payloads.
+REPORT_DIGESTS = {
+    ("A2", (0, 1, 0), (1, 0, 1), 2, "qi"):
+        "504544c7bd5cffed3622dc375d9450df18ddc5f8ba37e3e922830e85ad9bf25f",
+    ("B2", (0, 1, 0, 1), (1, 0, 1, 0), 1, "q"):
+        "08554a75e7541c33ce27787054f165b7a4ae5889fd2faef34ffdd1908927aea0",
+    ("A3", (0, 1, 0, 2, 1, 0), (0, 1, 2, 0, 1, 0), 1, "qi"):
+        "4728cb27c1131bab7a188b707aaed7270bacc26622e3c8d60fbac867eb23e251",
+}
+
+
+def test_oracle_reports_match_pinned_digests():
+    for (name, a, b, height, reading), digest in REPORT_DIGESTS.items():
+        rep = verify_intertwiner(CartanType(name), a, b, height, reading)
+        assert any(not r["pass"] for r in rep) == (reading == "q")
+        got = hashlib.sha256(
+            json.dumps(rep, sort_keys=True).encode()).hexdigest()
+        assert got == digest, (name, height, reading)
 
 
 # sha256 of the basis, the per-weight Gram rows and the generator matrices,

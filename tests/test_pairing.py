@@ -23,6 +23,20 @@ def test_tau_generators():
     assert pr.tau_words((0,), (1,)).is_zero()
 
 
+def test_tau_words_is_symmetric():
+    # tau(e_E, f_F) = tau(e_F, f_E) for every pair of words of one weight
+    for name, top in (("A2", 4), ("B2", 4), ("G2", 4), ("A3", 3)):
+        ct = CartanType(name)
+        pr = Pairing(ct)
+        for h in range(top + 1):
+            for gamma in weights_of_height(ct, h):
+                words = words_of_weight(ct, gamma)
+                for k, E in enumerate(words):
+                    for F in words[k + 1:]:
+                        assert pr.tau_words(E, F) == pr.tau_words(F, E), \
+                            (name, E, F)
+
+
 def test_tau_b2_qi():
     ct = CartanType("B2")
     pr = Pairing(ct)

@@ -96,6 +96,14 @@ def test_prefix_roots():
     assert set(pr) == set(b2.pos_roots)
 
 
+def test_root_sequences_accept_list_words():
+    # the memo is keyed on the word as a tuple, so a list word hits it
+    ct = CartanType("B2")
+    for roots in (prefix_roots, suffix_roots):
+        assert roots(ct, [0, 1, 0, 1]) == roots(ct, (0, 1, 0, 1))
+        assert roots(ct, [1, 0, 1, 0]) == roots(ct, (1, 0, 1, 0))
+
+
 def test_root_sequences_exhaust_positive_system():
     for name in ("A2", "A3", "B2", "G2"):
         ct = CartanType(name)
