@@ -36,6 +36,10 @@ SUITES = ("hopf", "braid", "pairing", "pbw-orth", "transfer", "decomp",
 # suites that compare two reduced words or two simple roots
 RANK2_SUITES = ("braid", "koy", "oracle")
 
+# per-case counts of what a case checked, summed into the verify report
+# when every case of the suite carries them
+COUNTED = ("decisions", "phi_checked")
+
 
 # ---------------------------------------------------------------------------
 # Hopf-axiom checks on normal forms
@@ -668,6 +672,7 @@ def suite_oracle(types=(("A2", 3),), d_reading="qi"):
             out = {"check": "oracle %s h<=%d (%d cases, %s reading)"
                    % (ct.name, height, len(report), d_reading),
                    "pass": not bad,
+                   "decisions": len(report),
                    "phi_checked": len({r["phi"] for r in report}),
                    "phi_failed": len({r["phi"] for r in bad})}
             if bad:
@@ -820,17 +825,22 @@ def cmd_verify(args):
               file=sys.stderr)
         return 2
     failures = [r for r in report if not r["pass"]]
+    # what the cases checked, where each case counts it (the oracle does)
+    counts = {k: sum(r[k] for r in report) for k in COUNTED
+              if all(k in r for r in report)}
     if args.format == "json":
         print(json.dumps({"schema": 1, "suite": args.suite,
-                          "cases": len(report),
+                          "cases": len(report), **counts,
                           "failures": failures}, indent=2, default=str))
     else:
         for r in failures:
             print("FAIL %s %s" % (r["check"],
                                   {k: v for k, v in r.items()
                                    if k not in ("check", "pass")}))
-        print("suite %s: %d cases, %d failures"
-              % (args.suite, len(report), len(failures)))
+        print("suite %s: %d cases, %s%d failures"
+              % (args.suite, len(report),
+                 "".join("%d %s, " % (v, k) for k, v in counts.items()),
+                 len(failures)))
     return 1 if failures else 0
 
 

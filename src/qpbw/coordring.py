@@ -38,7 +38,7 @@ from .pairing import words_of_weight
 from .linalg import kernel, solve_linear
 from .pbw import indices_of_weight
 from .rootdata import CartanType, weights_of_height
-from .scalars import ONE, ZERO, Scalar, qfact, qint
+from .scalars import ONE, ZERO, Scalar, qdiff_inverse, qfact, qint
 
 
 # -- small exact matrices (lists of rows of Scalar) -------------------------
@@ -124,21 +124,25 @@ def _verma_f_word(ct: CartanType, lam, i, word) -> dict:
         out[(j,) + w2] = c
     if j == i:
         # f_i e_i = e_i f_i - (k_i - k_i^{-1}) / (q_i - q_i^{-1})
-        exp = _pair_weight_alpha(ct, lam, rest, i)
-        d = ct.qi(i)
-        num = Scalar.q_power(-exp) - Scalar.q_power(exp)
-        den = Scalar.q_power(d) - Scalar.q_power(-d)
-        coeff = num / den
+        coeff = _commutator_coeff(_pair_weight_alpha(ct, lam, rest, i),
+                                  ct.qi(i))
         if not coeff.is_zero():
             out[rest] = out.get(rest, ZERO) + coeff
     return {w: c for w, c in out.items() if not c.is_zero()}
 
 
+@lru_cache(maxsize=None)
+def _commutator_coeff(e, d) -> Scalar:
+    """(q^-e - q^e) / (q^d - q^-d): the f_i e_i commutator term
+    -(k_i - k_i^{-1}) / (q_i - q_i^{-1}) where k_i acts by q^e and
+    q_i = q^d."""
+    return (Scalar.q_power(-e) - Scalar.q_power(e)) * qdiff_inverse(d)
+
+
 def _pair_weight_alpha(ct: CartanType, lam, eword, i) -> int:
     """(lam + wt(eword), alpha_i) as an integer exponent of q."""
-    val = ct.pair_pq(lam, ct.alpha(i))
-    for j in eword:
-        val += ct.pair_qq(ct.alpha(j), ct.alpha(i))
+    row = ct.form[i]
+    val = ct.pair_pq(lam, ct.alpha(i)) + sum(row[j] for j in eword)
     if val.denominator != 1:
         raise ValueError("non-integral pairing")
     return int(val)
@@ -332,7 +336,7 @@ class LWModule:
             ki, kiv = self.k_matrix(i), self.k_matrix(i, -1)
             for j in range(ct.rank):
                 # k_i e_j k_i^{-1} = q^{(alpha_i, alpha_j)} e_j
-                p = int(ct.pair_qq(ct.alpha(i), ct.alpha(j)))
+                p = ct.form[i][j]
                 lhs = _mat_mul(ki, _mat_mul(self.e_mats[j], kiv))
                 if not _mat_is_zero(_mat_sub(
                         lhs, _mat_scale(self.e_mats[j], Scalar.q_power(p)))):

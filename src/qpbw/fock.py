@@ -46,23 +46,33 @@ def d_i_const(ct: CartanType, i: int, n: int, d_reading: str) -> Scalar:
     return d_const(n, d) * qfact(n, d)
 
 
-# (type name, word, n, reading) -> d_word_const; Scalars are immutable, so
-# the entries are shared.
+# (type name, word, n, reading) -> (d_word_const, its inverse); Scalars are
+# immutable, so the entries are shared.
 _D_WORD = {}
+
+
+def _d_word(ct: CartanType, word, n, d_reading: str):
+    key = (ct.name, tuple(word), tuple(n), d_reading)
+    pair = _D_WORD.get(key)
+    if pair is None:
+        val = ONE
+        for i, nr in zip(word, n):
+            if nr:
+                val = val * d_i_const(ct, i, nr, d_reading)
+        pair = _D_WORD[key] = (val, val.inverse())
+    return pair
 
 
 def d_word_const(ct: CartanType, word, n, d_reading: str) -> Scalar:
     """prod_r d_{i_r}(n_r) along the word, computed once per (type, word,
     n, reading)."""
-    key = (ct.name, tuple(word), tuple(n), d_reading)
-    val = _D_WORD.get(key)
-    if val is None:
-        val = ONE
-        for i, nr in zip(word, n):
-            if nr:
-                val = val * d_i_const(ct, i, nr, d_reading)
-        _D_WORD[key] = val
-    return val
+    return _d_word(ct, word, n, d_reading)[0]
+
+
+def d_word_inverse(ct: CartanType, word, n, d_reading: str) -> Scalar:
+    """1 / d_word_const, kept next to it, so the basis-change entries are
+    products rather than divisions."""
+    return _d_word(ct, word, n, d_reading)[1]
 
 
 class FockVector:
@@ -187,7 +197,8 @@ def _koy_block(ct, from_word, to_word, gamma, d_reading):
         for n, row in transition_matrix(ct, "ehat", from_word, to_word,
                                         gamma).items():
             dn = d_word_const(ct, from_word, n, d_reading)
-            out[n] = {n2: a * dn / d_word_const(ct, to_word, n2, d_reading)
+            out[n] = {n2: a * dn * d_word_inverse(ct, to_word, n2,
+                                                  d_reading)
                       for n2, a in row.items()}
         return out
     return stored_block(("koy", ct.name, from_word, to_word, gamma,
@@ -253,7 +264,7 @@ def conj1_operator(ct: CartanType, word, i: int, v: FockVector,
         for (n0, n2), cc in consts.items():
             if n0 != n:
                 continue
-            coeff = c * cc * dn / d_word_const(ct, word, n2, d_reading)
+            coeff = c * cc * dn * d_word_inverse(ct, word, n2, d_reading)
             if n2 in terms:
                 terms[n2] = terms[n2] + coeff
             else:

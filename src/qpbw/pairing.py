@@ -23,7 +23,7 @@ the equality oracle modulo the quantum Serre relations.
 from __future__ import annotations
 
 from .rootdata import CartanType
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, qdiff_inverse
 from .uqcore import UElement, _fword_weight
 
 
@@ -38,8 +38,6 @@ class Pairing:
             obj = super().__new__(cls)
             obj.ct = ct
             obj._memo = {}
-            obj._denoms = tuple(
-                Scalar.q_power(d) - Scalar.q_power(-d) for d in ct.d)
             cls._instances[ct.name] = obj
         return obj
 
@@ -56,16 +54,18 @@ class Pairing:
             return val
         j = eword[-1]
         head = eword[:-1]
-        alpha_j = ct.alpha(j)
+        row = ct.form[j]
+        # -(alpha_j, wt fword[p+1:]), kept as a running sum over p
+        shift = -sum(row[letter] for letter in fword)
         total = ZERO
         for p, letter in enumerate(fword):
+            shift += row[letter]
             if letter != j:
                 continue
-            shift = -ct.pair_qq(alpha_j, _fword_weight(ct, fword[p + 1:]))
             sub = self.tau_words(head, fword[:p] + fword[p + 1:])
             if not sub.is_zero():
                 total = total + sub * Scalar.q_power(shift)
-        total = total / self._denoms[j]
+        total = total * qdiff_inverse(ct.qi(j))
         self._memo[key] = total
         return total
 

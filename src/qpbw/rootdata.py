@@ -45,9 +45,14 @@ class CartanType:
         self.a = _CARTAN[name]
         self.d = _SYMMETRIZER[name]
         self.rank = len(self.d)
+        # form[i][j] = (alpha_i, alpha_j) = d_i a_ij, a symmetric integer
+        # table: every q-shift of the engine is a sum of its entries
+        self.form = tuple(tuple(self.d[i] * self.a[i][j]
+                                for j in range(self.rank))
+                          for i in range(self.rank))
         for i in range(self.rank):
             for j in range(self.rank):
-                assert self.d[i] * self.a[i][j] == self.d[j] * self.a[j][i]
+                assert self.form[i][j] == self.form[j][i]
         self.pos_roots = self._generate_pos_roots()
         assert len(self.pos_roots) == _NUM_POS_ROOTS[name]
 
@@ -84,8 +89,12 @@ class CartanType:
     # -- bilinear form ----------------------------------------------------
     def pair_qq(self, v, w):
         """(v, w) for v, w in root coordinates; always an integer."""
-        return sum(v[i] * self.d[i] * self.a[i][j] * w[j]
-                   for i in range(self.rank) for j in range(self.rank))
+        total = 0
+        for vi, row in zip(v, self.form):
+            if vi:
+                for b, wj in zip(row, w):
+                    total += vi * b * wj
+        return total
 
     def pair_pq(self, lam, gam):
         """(lam, gam) with lam in weight coords, gam in root coords."""

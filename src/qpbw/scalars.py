@@ -16,15 +16,22 @@ by +-q^j is an exponent shift; otherwise a product divides each numerator
 by the Phi_n of the other denominator while they divide it, and a sum
 works over the least common multiple (the larger multiplicity of each
 Phi_n), then cancels only the Phi_n that can divide the new numerator.
-Whether Phi_n divides p is decided by folding the exponents of p mod n
-(p mod q^n - 1) and reducing the fold mod Phi_n.  A denominator with any
-other factor is marked as such, and its arithmetic takes the Euclidean
-gcd path (_pgcd) instead; results are identical either way.
+Whether Phi_n divides p is decided in closed form when p has one or two
+terms, and otherwise by folding the exponents of p mod n (p mod q^n - 1)
+and reducing the fold mod Phi_n.  A denominator with any other factor is
+marked as such, and its arithmetic takes the Euclidean gcd path (_pgcd)
+instead; results are identical either way.
+
+Most operands of the engine are units, so those cost least: a product
+with the shared ONE returns the other operand unchanged, and q_power(k)
+hands out one shared Scalar per exponent (q_power(0) is ONE).  Scalars are
+never mutated, so sharing them and their dicts is safe.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 
 def _strip(coeffs):
@@ -208,7 +215,19 @@ def _phi_poly(n):
 
 
 def _phi_divides(p, n):
-    """Whether Phi_n divides the polynomial p (nonnegative exponents)."""
+    """Whether Phi_n divides the nonzero polynomial p (nonnegative
+    exponents).  A monomial never is a multiple; a binomial
+    a q^i + b q^j = a q^i (1 + (b/a) q^d), d = |j - i|, is one exactly when
+    b = -a and n | d (q^d - 1), or b = a, n | 2d and n does not divide d
+    (q^d + 1): otherwise its roots are not roots of unity of order n."""
+    if len(p) < 3:
+        if len(p) == 1:
+            return False
+        (i, a), (j, b) = p.items()
+        d = abs(j - i)
+        if a == -b:
+            return not d % n
+        return a == b and bool(d % n) and not 2 * d % n
     if n == 1:
         return not sum(p.values())
     if n == 2:
@@ -339,9 +358,12 @@ class Scalar:
 
     @staticmethod
     def q_power(k):
-        if k >= 0:
-            return _make({k: 1}, {0: 1}, _UNIT)
-        return _make({0: 1}, {-k: 1}, (1, -k, ()))
+        """q^k, shared: each exponent is built once (q^0 is ONE)."""
+        s = _Q_POWERS.get(k)
+        if s is None:
+            s = _Q_POWERS[k] = (_make({k: 1}, {0: 1}, _UNIT) if k >= 0 else
+                                _make({0: 1}, {-k: 1}, (1, -k, ())))
+        return s
 
     # -- predicates ----------------------------------------------------
     def is_zero(self):
@@ -389,8 +411,12 @@ class Scalar:
                      self._fac)
 
     def __mul__(self, other):
+        if other is ONE:
+            return self
         if not isinstance(other, Scalar):
             return NotImplemented
+        if self is ONE:
+            return other
         return _product(self, other)
 
     def __truediv__(self, other):
@@ -759,6 +785,9 @@ def _normalize(num, den):
 _ZERO = Scalar.from_int(0)
 ZERO = _ZERO
 ONE = Scalar.from_int(1)
+# k -> q^k, filled by Scalar.q_power; never cleared, as a process meets few
+# exponents
+_Q_POWERS = {0: ONE}
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +825,13 @@ def qint(n: int, d: int = 1) -> Scalar:
 def qfact(n: int, d: int = 1) -> Scalar:
     """[n]! = [2][3]...[n] (1 for n < 2) with q replaced by q^d."""
     return _laurent(_qfact(n, d))
+
+
+@lru_cache(maxsize=None)
+def qdiff_inverse(d: int) -> Scalar:
+    """1 / (q^d - q^-d), the factor of every e-f commutator term; built
+    once per d and shared."""
+    return (Scalar.q_power(d) - Scalar.q_power(-d)).inverse()
 
 
 def qbinom(n: int, m: int) -> Scalar:

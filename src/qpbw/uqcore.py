@@ -28,7 +28,7 @@ process meets.
 from __future__ import annotations
 
 from .rootdata import CartanType
-from .scalars import ONE, Scalar, qfact
+from .scalars import ONE, Scalar, qdiff_inverse, qfact
 
 Mono = tuple  # (fword, kappa, eword)
 
@@ -292,9 +292,13 @@ def _rmul_e(terms: dict, j: int) -> dict:
 
 
 def _rmul_k(ct: CartanType, terms: dict, gamma) -> dict:
+    # k_gamma passes each e_l of E at the cost q^{-(gamma, alpha_l)}
+    cost = [sum(g * b for g, b in zip(gamma, row)) for row in ct.form]
     acc = {}
     for (F, kappa, E), c in terms.items():
-        shift = -ct.pair_qq(gamma, _fword_weight(ct, E))
+        shift = 0
+        for l in E:
+            shift -= cost[l]
         kap2 = tuple(a + b for a, b in zip(kappa, gamma))
         _add_term(acc, (F, kap2, E), c * Scalar.q_power(shift))
     return acc
@@ -302,29 +306,29 @@ def _rmul_k(ct: CartanType, terms: dict, gamma) -> dict:
 
 def _rmul_f(ct: CartanType, terms: dict, j: int, plus=False) -> dict:
     alpha_j = ct.alpha(j)
-    dj = ct.qi(j)
-    denom = Scalar.q_power(dj) - Scalar.q_power(-dj)
+    row = ct.form[j]
+    inv = qdiff_inverse(ct.qi(j))
     acc = {}
     for (F, kappa, E), c in terms.items():
         # f_j passes kappa and all of E, then joins the f-word.
         if not plus:
-            shift = -ct.pair_qq(kappa, alpha_j)
+            shift = -sum(k * b for k, b in zip(kappa, row))
             _add_term(acc, (F + (j,), kappa, E), c * Scalar.q_power(shift))
         if j not in E:
             continue
         # commutator terms, one per e_j letter in E, each a q-shift of
-        # c / (q_j - q_j^{-1})
-        cd = c / denom
+        # c / (q_j - q_j^{-1}) by s = (alpha_j, weight of the letters
+        # before it)
+        cd = c * inv
         kp = tuple(a + b for a, b in zip(kappa, alpha_j))
         km = tuple(a - b for a, b in zip(kappa, alpha_j))
+        s = 0
         for p, i in enumerate(E):
-            if i != j:
-                continue
-            w = _fword_weight(ct, E[:p])
-            E2 = E[:p] + E[p + 1:]
-            s = ct.pair_qq(alpha_j, w)
-            _add_term(acc, (F, kp, E2), cd * Scalar.q_power(-s))
-            _add_term(acc, (F, km, E2), -(cd * Scalar.q_power(s)))
+            if i == j:
+                E2 = E[:p] + E[p + 1:]
+                _add_term(acc, (F, kp, E2), cd * Scalar.q_power(-s))
+                _add_term(acc, (F, km, E2), -(cd * Scalar.q_power(s)))
+            s += row[i]
     return acc
 
 

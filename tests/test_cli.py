@@ -355,6 +355,36 @@ def test_oracle_reports_checked_and_failed_matrix_coefficients(monkeypatch):
     assert {"phi", "basis"} <= set(bad[0])
 
 
+def test_oracle_report_counts_what_it_checked(capsys):
+    # the default run, A2 h<=3: 234 (phi, basis vector) decisions on the
+    # 18 matrix coefficients of the two fundamental modules
+    code, out, _ = run(["verify", "oracle", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"schema": 1, "suite": "oracle", "cases": 1,
+                               "decisions": 234, "phi_checked": 18,
+                               "failures": []}
+    code, text, _ = run(["verify", "oracle"], capsys)
+    assert code == 0
+    assert text == ("suite oracle: 1 cases, 234 decisions, "
+                    "18 phi_checked, 0 failures\n")
+    # a run that checks less prints different bytes
+    code, lower, _ = run(["verify", "oracle", "--height", "2", "--format",
+                          "json"], capsys)
+    assert code == 0 and lower != out
+    assert json.loads(lower)["decisions"] == 126
+
+
+def test_suites_without_counts_keep_their_report(capsys):
+    # only the oracle's cases count their decisions; the other reports
+    # carry no count fields
+    code, out, _ = run(["verify", "sl2", "--height", "2", "--format",
+                        "json"], capsys)
+    assert code == 0
+    assert list(json.loads(out)) == ["schema", "suite", "cases", "failures"]
+    code, out, _ = run(["verify", "sl2", "--height", "2"], capsys)
+    assert code == 0 and out.endswith(" cases, 0 failures\n")
+
+
 # sha256 of the default hopf case labels, "<type> <label>" one per line in
 # suite order (3110 cases: A2 and B2 words up to length 4).
 HOPF_LABELS_SHA256 = \

@@ -166,3 +166,16 @@ def test_store_cold_and_warm_vectors_agree():
     pbw.clear_store()
     for d_reading in fock.D_READINGS:
         assert _basis_change_images(d_reading) == cold[d_reading]
+
+
+def test_d_word_inverse_is_kept_next_to_the_constant():
+    for name in ("A2", "B2", "G2"):
+        ct = CartanType(name)
+        word = ct.longest_word()
+        for n in ((0,) * len(word), (1,) + (0,) * (len(word) - 1),
+                  tuple(range(len(word)))):
+            for reading in fock.D_READINGS:
+                d = fock.d_word_const(ct, word, n, reading)
+                inv = fock.d_word_inverse(ct, word, n, reading)
+                assert d * inv == Scalar.from_int(1)
+                assert inv is fock.d_word_inverse(ct, word, n, reading)

@@ -195,3 +195,18 @@ def test_exponent_weight_needs_a_root_choice():
     ct = CartanType("A2")
     with pytest.raises(ValueError):
         exponent_weight(ct, (0, 1, 0), (1, 0, 0), "hat")
+
+
+def test_pair_qq_reads_the_form_table():
+    from itertools import product
+    for name in ("A1", "A2", "A3", "B2", "G2"):
+        ct = CartanType(name)
+        n = range(ct.rank)
+        assert ct.form == tuple(tuple(ct.d[i] * ct.a[i][j] for j in n)
+                                for i in n)
+        box = list(product(range(-2, 3), repeat=ct.rank))
+        for v in box:
+            for w in box:
+                want = sum(v[i] * ct.d[i] * ct.a[i][j] * w[j]
+                           for i in n for j in n)
+                assert ct.pair_qq(v, w) == want, (name, v, w)

@@ -577,3 +577,74 @@ def test_non_cyclotomic_denominator_takes_the_gcd_fallback(monkeypatch):
     # exact: the sum times its denominators is the plain polynomial sum
     assert x * odd * lin == odd + lin
     assert (x - lin.inverse()) * odd == Scalar.from_int(1)
+
+
+# -- fast paths for trivial operands ----------------------------------------
+
+def _unit_remainders(n):
+    """q^k mod Phi_n for k = 0..n-1, each as the coefficient list of degree
+    below deg Phi_n: the fold mod q^n - 1 and the reduction mod Phi_n that
+    scalars._phi_divides runs on longer numerators, taken one monomial at a
+    time (q^(k+1) mod Phi_n is q times q^k mod Phi_n, reduced once)."""
+    deg, tail = scalars._phi(n)
+    r = [1] + [0] * (deg - 1)
+    out = []
+    for _ in range(n):
+        out.append(tuple(r))
+        top = r[-1]
+        r = [0] + r[:-1]
+        for e, c in tail:
+            r[e] -= top * c
+    return out
+
+
+def test_phi_divisibility_of_monomials_and_binomials_matches_fold():
+    coeffs = [c for c in range(-3, 4) if c]
+    for n in range(1, scalars._MAX_ORDER + 1):
+        rem = _unit_remainders(n)
+        r0 = rem[0]
+        for a in coeffs:
+            # a monomial folds to a unit times R_0, never zero
+            assert any(r0)
+            for e in (0, 1, n, 3 * n):
+                assert not scalars._phi_divides({e: a}, n), (n, e, a)
+        # p = a + b q^d folds to a R_0 + b R_(d mod n), which is zero
+        # exactly when Phi_n divides p; gaps d = r, r + n, ... up to 3n
+        for r, rr in enumerate(rem):
+            gaps = range(r or n, 3 * n + 1, n)
+            for a in coeffs:
+                for b in coeffs:
+                    want = not any(a * x + b * y for x, y in zip(r0, rr))
+                    for d in gaps:
+                        got = scalars._phi_divides({0: a, d: b}, n)
+                        assert got == want, (n, d, a, b)
+        # a common q-power does not matter
+        assert scalars._phi_divides({3: 1, 3 + n: -1}, n)
+
+
+def test_q_power_is_memoized_and_matches_fresh_construction():
+    assert Scalar.q_power(0) is scalars.ONE
+    for k in range(-12, 13):
+        s = Scalar.q_power(k)
+        assert s is Scalar.q_power(k)
+        fresh = Scalar({k: 1}) if k >= 0 else Scalar({0: 1}, {-k: 1})
+        assert (s.num, s.den) == (fresh.num, fresh.den)
+        assert scalars._factored(s) == scalars._den_factors(fresh.den)
+        assert scalars._factored(s) == (1, max(-k, 0), ())
+    for d in (1, 2, 3):
+        inv = scalars.qdiff_inverse(d)
+        assert inv is scalars.qdiff_inverse(d)
+        assert inv * (Scalar.q_power(d) - Scalar.q_power(-d)) == scalars.ONE
+
+
+def test_product_with_one_returns_the_other_operand():
+    one = scalars.ONE
+    dq = Scalar.q_power(1) - Scalar.q_power(-1)
+    odd = Scalar({0: 2, 1: 1, 2: 1}).inverse()
+    for x in (scalars.ZERO, one, Scalar.from_int(-3), Scalar.q_power(-2),
+              dq, dq.inverse(), qbinom(5, 2), odd):
+        assert x * one is x
+        assert one * x is x
+    # a value equal to one but not the shared ONE still multiplies exactly
+    other_one = Scalar({0: 1})
+    assert other_one is not one and dq * other_one == dq

@@ -178,13 +178,24 @@ def _ref_rmul_f(ct, terms, j, plus=False):
     return acc
 
 
+def _ref_rmul_k(ct, terms, gamma):
+    """Right multiplication by k_gamma, which passes e_E at the cost
+    q^{-(gamma, wt E)}, the pairing taken on the whole weight."""
+    acc = {}
+    for (F, kappa, E), c in terms.items():
+        shift = -ct.pair_qq(gamma, uqcore._fword_weight(ct, E))
+        kap2 = tuple(a + b for a, b in zip(kappa, gamma))
+        uqcore._add_term(acc, (F, kap2, E), c * Scalar.q_power(shift))
+    return acc
+
+
 def _ref_rmul_mono(ct, terms, mono):
     F, kappa, E = mono
     cur = dict(terms)
     for j in F:
         cur = _ref_rmul_f(ct, cur, j)
     if any(kappa):
-        cur = uqcore._rmul_k(ct, cur, kappa)
+        cur = _ref_rmul_k(ct, cur, kappa)
     for j in E:
         cur = uqcore._rmul_e(cur, j)
     return cur
@@ -226,7 +237,7 @@ def _random_tensor(ct, rng):
                         for _ in range(rng.randint(2, 4))})
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("name", ["A2", "A3", "B2", "G2"])
 def test_rmul_f_matches_reference(name):
     rng = random.Random(31)
     ct = CartanType(name)
@@ -237,6 +248,18 @@ def test_rmul_f_matches_reference(name):
         for plus in (False, True):
             assert uqcore._rmul_f(ct, terms, j, plus) \
                 == _ref_rmul_f(ct, terms, j, plus)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B2", "G2"])
+def test_rmul_k_matches_reference(name):
+    rng = random.Random(41)
+    ct = CartanType(name)
+    for _ in range(40):
+        terms = {_random_mono(ct, rng, 4): _random_coeff(rng)
+                 for _ in range(rng.randint(1, 4))}
+        gamma = tuple(rng.randint(-2, 2) for _ in range(ct.rank))
+        assert uqcore._rmul_k(ct, terms, gamma) \
+            == _ref_rmul_k(ct, terms, gamma)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
