@@ -94,11 +94,13 @@ def _coproduct_leg(cache, tensor, left):
 
 
 def _counit_leg(ct, tensor, left):
+    """(eps x id) or (id x eps) of a 2-tensor: the counit of a monomial
+    f_F k e_E is 1 when F and E are both empty and 0 otherwise."""
     acc = {}
     for (a, b), c in tensor.terms.items():
-        eps = _mono_elt(ct, a if left else b).counit()
-        if not eps.is_zero():
-            _add_term(acc, b if left else a, c * eps)
+        F, _, E = a if left else b
+        if not F and not E:
+            _add_term(acc, b if left else a, c)
     return UElement(ct, acc)
 
 

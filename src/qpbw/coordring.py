@@ -37,7 +37,7 @@ from .fock import FockVector, koy_transform, leg_act
 from .pairing import words_of_weight
 from .linalg import kernel, solve_linear
 from .pbw import indices_of_weight
-from .rootdata import CartanType, weights_of_height
+from .rootdata import CartanType, weights_of_height, weyl_dimension
 from .scalars import ONE, ZERO, Scalar, qdiff_inverse, qfact, qint
 
 
@@ -206,7 +206,14 @@ class LWModule:
     # -- construction ------------------------------------------------------
 
     def _build_basis(self):
+        """Select a basis of e-words weight by weight, from the lowest
+        weight up.  The dimension reached must be the Weyl dimension: a
+        wrong contravariant form raises ValueError as soon as the count
+        passes it, instead of enumerating ever longer words."""
         ct, lam = self.ct, self.lam
+        expected = weyl_dimension(ct, lam)
+        if expected > self.MAX_DIM:
+            raise ValueError("dimension bound exceeded")
         self.weights = []             # list of gamma (Q-coordinates)
         self.words = {}               # gamma -> selected e-words
         self._ginv = {}               # gamma -> inverse Gram of selected
@@ -223,8 +230,10 @@ class LWModule:
                 self.words[gamma] = sel
                 self._ginv[gamma] = ginv
                 dim += len(sel)
-                if dim > self.MAX_DIM:
-                    raise ValueError("dimension bound exceeded")
+                if dim > expected:
+                    raise ValueError(
+                        "%s module of lowest weight %s passes its Weyl "
+                        "dimension %d" % (ct.name, lam, expected))
                 for i in range(ct.rank):
                     g2 = tuple(gamma[t] + ct.alpha(i)[t]
                                for t in range(ct.rank))
@@ -236,6 +245,10 @@ class LWModule:
         self.basis = [(g, w) for g in self.weights for w in self.words[g]]
         self.index = {bw: n for n, bw in enumerate(self.basis)}
         self.dim = len(self.basis)
+        if self.dim != expected:
+            raise ValueError("%s module of lowest weight %s has dimension "
+                             "%d, not its Weyl dimension %d"
+                             % (ct.name, lam, self.dim, expected))
 
     def _select_words(self, gamma):
         """Maximal subset of e-words of weight gamma with invertible Gram,

@@ -18,6 +18,17 @@ On pure words it is computed by peeling the last e-letter:
 which is the second axiom with the single-f component of Delta(f_F) made
 explicit.  The radical of tau is exactly the Serre ideal, so tau doubles as
 the equality oracle modulo the quantum Serre relations.
+
+The same recursion without the 1/(q_j - q_j^{-1}) factors gives the
+integral numerators (Lusztig's integral form of the pairing):
+
+    tau(e_E, f_F) = N(E, F) / D_beta,   N(E, F) in Z[q, q^{-1}],
+    D_beta = prod_j (q_j - q_j^{-1})^{m_j}   for beta = sum_j m_j alpha_j,
+
+with N(E, F) = N(F, E).  Pairing.numerator keeps N as integer exponent
+maps, one per unordered word pair; pbw computes hat coordinates from them.
+tau_words stays the independent Scalar reference for canonical_coords, the
+pbw-orth suite and the tests.
 """
 
 from __future__ import annotations
@@ -25,6 +36,9 @@ from __future__ import annotations
 from .rootdata import CartanType
 from .scalars import ONE, ZERO, Scalar, qdiff_inverse
 from .uqcore import UElement, _fword_weight
+
+
+_ONE_MAP = {0: 1}
 
 
 class Pairing:
@@ -38,6 +52,7 @@ class Pairing:
             obj = super().__new__(cls)
             obj.ct = ct
             obj._memo = {}
+            obj._numerators = {}
             cls._instances[ct.name] = obj
         return obj
 
@@ -68,6 +83,45 @@ class Pairing:
         total = total * qdiff_inverse(ct.qi(j))
         self._memo[key] = total
         return total
+
+    def numerator(self, eword, fword) -> dict:
+        """N(E, F) = tau(e_E, f_F) D_beta for words (tuples) of one weight
+        beta, as an exponent map over Z[q, q^-1]; {} when the weights
+        differ.  This is the recursion of tau_words without its
+        1/(q_j - q_j^-1) factors, and since N(E, F) = N(F, E) each
+        unordered pair is computed and kept once.  The returned maps are
+        shared and must not be mutated."""
+        if not eword:
+            return {} if fword else _ONE_MAP
+        key = (eword, fword) if eword <= fword else (fword, eword)
+        val = self._numerators.get(key)
+        if val is not None:
+            return val
+        j = eword[-1]
+        head = eword[:-1]
+        row = self.ct.form[j]
+        shift = -sum(row[letter] for letter in fword)
+        total = {}
+        for p, letter in enumerate(fword):
+            shift += row[letter]
+            if letter != j:
+                continue
+            for e, v in self.numerator(head,
+                                       fword[:p] + fword[p + 1:]).items():
+                e += shift
+                total[e] = total.get(e, 0) + v
+        val = self._numerators[key] = {e: v for e, v in total.items() if v}
+        return val
+
+    def inverse_denominator(self, gamma) -> Scalar:
+        """1/D_beta for beta = gamma: D_beta = prod_j (q_j - q_j^-1)^{m_j}
+        over the coordinates m_j of gamma, so that tau(e_E, f_F) =
+        N(E, F) / D_beta."""
+        out = ONE
+        for j, m in enumerate(gamma):
+            for _ in range(m):
+                out = out * qdiff_inverse(self.ct.qi(j))
+        return out
 
     def tau(self, x: UElement, y: UElement) -> Scalar:
         """Bilinear extension; x must lie in U^{>=0}, y in U^{<=0}."""

@@ -24,19 +24,30 @@ them; other families are expressed in hat coordinates and inverted per
 weight block by the exact Gauss-Jordan elimination of qpbw.linalg.
 
 tau is bilinear, so pbw_coords pairs x with its weight block through x's
-dual vector: on the e side w[F] = sum_E c_E tau(e_E, f_F) over the words E
-of x, and tau(x, fhat^n) = sum_F w[F] fhat^n_F.  F runs only over the words
-that occur in the block's dual hat monomials, and each w[F] is computed on
-first use, so x meets each such word once instead of once per monomial.
-The f side swaps the roles of E and F.  This needs the dual hat monomials
-to be pure f-words (resp. e-words) without a k-part, which the store
-checks once per block.
+dual vector, over Z[q, q^-1].  With tau(e_E, f_F) = N(E, F) / D_gamma
+(pairing.Pairing.numerator), x's coefficients over one denominator,
+c_E = a_E / den_x, and each dual hat monomial over its own, fhat^n =
+sum_F b_F / den_y f_F, the coordinate at n is
 
-Weight blocks are kept in one process-wide store: the hat monomials that
-pbw_coords pairs against, the rows of each transition block and each block
-of e_i structure constants are computed on first request and shared by
-every later one for the life of the process.  Stored blocks are returned
-as they are, so callers must not mutate them; clear_store() drops them all.
+    tau(x, fhat^n) / hat_norm(n)
+        = (sum_F w[F] b_F) / (den_x den_y D_gamma hat_norm(n)),
+    w[F] = sum_E a_E N(E, F),
+
+where w and the sum are integer exponent maps.  The store keeps, per
+weight block, each dual hat monomial as its numerators b_F indexed by the
+position of F in words_of_weight(gamma), with the Scalar factor
+1/(den_y D_gamma hat_norm(n)); w[F] is filled on first use, so x meets each
+word of the block once, and each coordinate costs one Scalar reduction
+(scalars.laurent_product).  The f side swaps the roles of E and F.  This
+needs the dual hat monomials to be pure f-words (resp. e-words) without a
+k-part, which the store checks once per block.
+
+Weight blocks are kept in one process-wide store: the integral dual hat
+monomials that pbw_coords pairs against, the rows of each transition block
+and each block of e_i structure constants are computed on first request
+and shared by every later one for the life of the process.  Stored blocks
+are returned as they are, so callers must not mutate them; clear_store()
+drops them all.
 """
 
 from __future__ import annotations
@@ -45,10 +56,11 @@ from functools import lru_cache
 
 from .braid import E_FAMILIES, FAMILIES, FAMILY_ALIASES, root_vector_power
 from .linalg import solve_linear
-from .pairing import Pairing
+from .pairing import Pairing, words_of_weight
 from .rootdata import (CartanType, exponent_weight, prefix_roots,
                        suffix_roots)
-from .scalars import ONE, ZERO, Scalar, c_const, qfact
+from .scalars import (ONE, Scalar, _pmul_into, common_denominator,
+                      laurent_product, qdiff_inverse)
 from .uqcore import UElement, _fword_weight
 
 
@@ -108,13 +120,18 @@ def indices_of_weight(ct: CartanType, family: str, word, gamma):
 
 @lru_cache(maxsize=None)
 def _hat_norm(ct_name: str, word, n) -> Scalar:
-    """tau(ehat^(n), fhat^n) = prod_r c_{q_{i_r}}(n_r) / [n_r]_{q_{i_r}}!"""
+    """tau(ehat^(n), fhat^n) = prod_r c_{q_r}(n_r) / [n_r]_{q_r}!, with
+    q_r = q^{d_{i_r}}; since c_q(m) = [m]_q! q^{-m(m-1)/2} (q - q^-1)^-m,
+    each factor is the q-power q_r^{-n_r(n_r-1)/2} times
+    1/(q_r - q_r^-1)^{n_r}."""
     ct = CartanType(ct_name)
     total = ONE
     for r, nr in enumerate(n):
         if nr:
             d = ct.qi(word[r])
-            total = total * c_const(nr, d) / qfact(nr, d)
+            total = total * Scalar.q_power(-d * (nr * (nr - 1) // 2))
+            for _ in range(nr):
+                total = total * qdiff_inverse(d)
     return total
 
 
@@ -136,29 +153,47 @@ def clear_store():
     _store.clear()
 
 
-def _dual_hat_block(ct: CartanType, word, gamma, eside) -> dict:
-    """{n: hat monomial} of weight gamma that hat coordinates on the e side
-    (eside) or f side pair against: fhat^n, respectively ehat^(n).
+def _dual_block(ct: CartanType, word, gamma, eside):
+    """Integral dual data of the weight-gamma hat block that hat coordinates
+    on the e side (eside) or f side pair against: fhat^n, respectively
+    ehat^(n).
 
-    pbw_coords pairs these by their words alone, which is tau only for
-    pure f-words (resp. e-words) without a k-part; a block with any other
-    term raises ValueError when it is built."""
+    Returns (words, duals) with words = words_of_weight(ct, gamma) and one
+    (n, entries, factor) in duals per index n.  The monomial's coefficient
+    at the word u is b_u / den_y with an integer exponent map b_u; entries
+    lists (position of u in words, b_u), and factor is the Scalar
+    1 / (den_y D_gamma hat_norm(n)).  The hat coordinate of x at n is then
+    factor sum_u N(x, u) b_u, with N(x, u) the integral pairing numerator
+    extended linearly in x.
+
+    The words are paired alone, which is tau only for pure f-words (resp.
+    e-words) without a k-part; a block with any other term raises
+    ValueError when it is built."""
     family = "fhat" if eside else "ehat"
     word, gamma = tuple(word), tuple(gamma)
 
     def build():
-        block = {n: pbw_monomial(ct, family, word, n)
-                 for n in indices_of_weight(ct, family, word, gamma)}
-        for n, y in block.items():
-            for (F, kappa, E) in y.terms:
+        words = words_of_weight(ct, gamma)
+        pos = {u: p for p, u in enumerate(words)}
+        inv_d = Pairing(ct).inverse_denominator(gamma)
+        duals = []
+        for n in indices_of_weight(ct, family, word, gamma):
+            y = pbw_monomial(ct, family, word, n)
+            us, cs = [], []
+            for (F, kappa, E), c in y.terms.items():
                 if any(kappa) or (E if eside else F):
                     raise ValueError(
                         "%s monomial %s along %s is not a combination of "
                         "pure %s-words" % (family, n, word,
                                            "f" if eside else "e"))
-        return block
+                us.append(pos[F if eside else E])
+                cs.append(c)
+            nums, inv_y = common_denominator(cs)
+            duals.append((n, list(zip(us, nums)),
+                          inv_y * inv_d / _hat_norm(ct.name, word, n)))
+        return words, duals
 
-    return stored_block(("monomials", ct.name, family, word, gamma), build)
+    return stored_block(("duals", ct.name, family, word, gamma), build)
 
 
 def pbw_coords(ct: CartanType, x: UElement, word, eside=True) -> dict:
@@ -168,43 +203,47 @@ def pbw_coords(ct: CartanType, x: UElement, word, eside=True) -> dict:
     weight homogeneous.  Returns {exponent vector: Scalar}.
 
     The coordinate at n is tau(x, fhat^n) (resp. tau(ehat^(n), x)) over the
-    hat norm.  Both pairings go through x's dual vector w, filled on first
-    use at the words of the weight block's hat monomials: on the e side
-    w[F] = sum_E c_E tau(e_E, f_F) and tau(x, fhat^n) = sum_F w[F]
-    fhat^n_F; on the f side w[E] = sum_F c_F tau(e_E, f_F) and
-    tau(ehat^(n), x) = sum_E ehat^(n)_E w[E]."""
+    hat norm, computed over Z[q, q^-1]: x's coefficients are put over one
+    denominator, c_v = a_v / den_x, and x's integral dual vector
+    w[u] = sum_v a_v N(v, u) is filled on first use at the words u of the
+    block's monomials.  Then sum_u w[u] b_u is an exponent map, and the
+    coordinate is that map times factor(n) / den_x (see _dual_block),
+    made a Scalar by one reduction."""
     word = tuple(word)
     if x.is_zero():
         return {}
     gammas = set()
-    xwords = []
+    xwords, coeffs = [], []
     for (F, kappa, E), c in x.terms.items():
         if any(kappa) or (F if eside else E):
             raise ValueError("element is not in the expected pure part")
         gammas.add(_fword_weight(ct, E if eside else F))
-        xwords.append((E if eside else F, c))
+        xwords.append(E if eside else F)
+        coeffs.append(c)
     if len(gammas) > 1:
         raise ValueError("element is not weight homogeneous")
-    gamma = gammas.pop()
-    tau = Pairing(ct).tau_words
+    words, duals = _dual_block(ct, word, gammas.pop(), eside)
+    nums, inv_x = common_denominator(coeffs)
+    xdual = list(zip(xwords, nums))
+    numerator = Pairing(ct).numerator
     w = {}
     out = {}
-    for n, y in _dual_hat_block(ct, word, gamma, eside).items():
-        val = ZERO
-        for (F, _, E), cy in y.terms.items():
-            u = F if eside else E
-            wu = w.get(u)
-            if wu is None:
-                wu = ZERO
-                for v, c in xwords:
-                    t = tau(v, u) if eside else tau(u, v)
-                    if not t.is_zero():
-                        wu = wu + c * t
-                w[u] = wu
-            if not wu.is_zero():
-                val = val + wu * cy
-        if not val.is_zero():
-            out[n] = val / _hat_norm(ct.name, word, n)
+    for n, entries, factor in duals:
+        val = {}
+        for p, b in entries:
+            wp = w.get(p)
+            if wp is None:
+                wp = {}
+                u = words[p]
+                for v, a in xdual:
+                    _pmul_into(wp, a, numerator(v, u) if eside
+                               else numerator(u, v))
+                wp = w[p] = {e: c for e, c in wp.items() if c}
+            if wp:
+                _pmul_into(val, wp, b)
+        val = {e: c for e, c in val.items() if c}
+        if val:
+            out[n] = laurent_product(val, (factor, inv_x))
     return out
 
 

@@ -39,6 +39,8 @@ class CartanType:
     """Fixed table of Cartan data for one of the supported types."""
 
     def __init__(self, name: str):
+        if getattr(self, "pos_roots", None) is not None:
+            return          # the shared instance of __new__, already built
         if name not in _CARTAN:
             raise ValueError("unsupported Cartan type %r" % name)
         self.name = name
@@ -265,6 +267,20 @@ def kostant_count(ct: CartanType, gamma) -> int:
         return total
 
     return count(0, tuple(gamma))
+
+
+def weyl_dimension(ct: CartanType, lam) -> int:
+    """Dimension of the simple module of lowest weight lam (antidominant,
+    fundamental-weight coordinates) by the Weyl dimension formula: it is
+    the dual of the module of highest weight mu = -lam, of dimension
+    prod over positive roots alpha of (mu + rho, alpha) / (rho, alpha)."""
+    shifted = [1 - c for c in lam]
+    rho = [1] * ct.rank
+    num = den = 1
+    for alpha in ct.pos_roots:
+        num *= ct.pair_pq(shifted, alpha)
+        den *= ct.pair_pq(rho, alpha)
+    return num // den
 
 
 def parse_word(text: str):

@@ -83,6 +83,14 @@ def _pmul(p1, p2):
     return c
 
 
+def _pmul_into(acc, p1, p2):
+    """acc += p1 * p2 in place; zero coefficients may remain in acc."""
+    for e1, v1 in p1.items():
+        for e2, v2 in p2.items():
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + v1 * v2
+
+
 def _pcontent(p):
     g = 0
     for v in p.values():
@@ -788,6 +796,78 @@ ONE = Scalar.from_int(1)
 # k -> q^k, filled by Scalar.q_power; never cleared, as a process meets few
 # exponents
 _Q_POWERS = {0: ONE}
+
+
+def common_denominator(values):
+    """Put Scalars over one denominator L: returns (nums, inv) with integer
+    exponent maps nums (nonnegative exponents) and the Scalar inv = 1/L,
+    so that values[i] = nums[i] * inv.
+
+    L is the least common denominator c q^k prod Phi_n^m, merged from the
+    factorization each Scalar keeps of its denominator (the lcm of the c,
+    the largest k and the largest multiplicity of each Phi_n).  If some
+    denominator has another factor, L is the product of the distinct
+    denominators instead, which is common but not least."""
+    facs = [_factored(s) for s in values]
+    if False in facs:
+        dens = []
+        for s in values:
+            if s.den not in dens:
+                dens.append(s.den)
+        den = {0: 1}
+        for d in dens:
+            den = _pmul(den, d)
+        nums = [_pmul(s.num, _pdiv_exact(den, s.den)) for s in values]
+        return nums, Scalar({0: 1}, den)
+    c, k, mult = 1, 0, {}
+    for fc, fk, fm in facs:
+        c = c * fc // math.gcd(c, fc)
+        k = max(k, fk)
+        for n, m in fm:
+            if m > mult.get(n, 0):
+                mult[n] = m
+    if c == 1 and not k and not mult:
+        return [s.num for s in values], ONE
+    nums = []
+    for s, (fc, fk, fm) in zip(values, facs):
+        have = dict(fm)
+        up = tuple((n, m - have.get(n, 0)) for n, m in sorted(mult.items())
+                   if m > have.get(n, 0))
+        nums.append(_cofactor(s.num, up, c // fc, k - fk))
+    f = (c, k, tuple(sorted(mult.items())))
+    return nums, _make({0: 1}, _den_of(*f), f)
+
+
+def laurent_product(p, factors):
+    """The Scalar p * prod(factors) for a nonzero Laurent exponent map p
+    (no zero coefficients), by one reduction: the numerators are
+    multiplied out over the product of the factored denominators, and only
+    the Phi_n of that product, a q-power and an integer can cancel.  A
+    factor whose denominator has another factor falls back to products."""
+    facs = [_factored(s) for s in factors]
+    if False in facs:
+        out = _laurent(p)
+        for s in factors:
+            out = out * s
+        return out
+    c, k, mult = 1, 0, {}
+    for s, (fc, fk, fm) in zip(factors, facs):
+        if not s.num:
+            return _ZERO
+        if s.num != {0: 1}:
+            p = _pmul(p, s.num)
+        c *= fc
+        k += fk
+        for n, m in fm:
+            mult[n] = mult.get(n, 0) + m
+    lo = min(p)
+    if lo < 0:
+        p = {e - lo: v for e, v in p.items()}
+        k -= lo
+    f = (c, k, tuple(sorted(mult.items())))
+    if not mult:
+        return _mono_den(p, k, c)
+    return _reduced(p, None, f, f[2])
 
 
 # ---------------------------------------------------------------------------

@@ -74,3 +74,12 @@ def test_c8_decomposition():
     t = time.time()
     res = cli.suite_decomp(types=("A2", "B2", "G2"), height=4)
     _report("C8 decomp", res, time.time() - t, 120)
+
+
+def test_c9_g2_oracle():
+    # the first independent check of G2 transition blocks: every matrix
+    # coefficient of both G2 fundamental modules decides one case
+    t = time.time()
+    res = cli.suite_oracle(types=(("G2", 0),))
+    assert [(r["decisions"], r["phi_checked"]) for r in res] == [(245, 245)]
+    _report("C9 G2 oracle", res, time.time() - t, 60)

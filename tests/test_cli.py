@@ -451,3 +451,20 @@ def test_hopf_wrong_coproduct_fails_with_witness(monkeypatch, extra,
     assert bad[0] == {"check": "hopf A2 e1", "pass": False,
                       "witness": witness}
     assert all(r["witness"]["axiom"] == witness["axiom"] for r in bad)
+
+
+def test_counit_leg_reads_the_counit_off_each_key():
+    # against (eps x id) and (id x eps) through UElement.counit per term
+    for name in ("A2", "B2"):
+        ct = CartanType(name)
+        e1, f2, k1 = UElement.e(ct, 0), UElement.f(ct, 1), UElement.k_i(ct, 0)
+        for x in (e1 * f2 * k1, f2 * e1 + k1, e1 * e1 * f2 - k1 * k1):
+            delta = x.coproduct()
+            for left in (True, False):
+                ref = {}
+                for (a, b), c in delta.terms.items():
+                    eps = UElement(ct, {a if left else b: ONE}).counit()
+                    uqcore._add_term(ref, b if left else a, c * eps)
+                assert cli._counit_leg(ct, delta, left).terms == \
+                    UElement(ct, ref).terms, (name, left)
+                assert cli._counit_leg(ct, delta, left).terms == x.terms

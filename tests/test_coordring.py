@@ -3,9 +3,11 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
+from qpbw import coordring
 from qpbw.coordring import (_SUB_FORMS, MatCoef, _apply_leg, _form_words,
                             _identity, _mat_inverse, _mat_mul, _verma_f,
                             act_on_tensor, act_row_on_tensor, build_irrep,
@@ -318,3 +320,26 @@ def test_g2_adjoint_module():
 def test_sub_form_memo_lives_for_one_build():
     build_irrep(CartanType("B2"), (-1, -1))
     assert _SUB_FORMS == {}
+
+
+def test_wrong_form_fails_fast_at_the_weyl_dimension(monkeypatch):
+    # a contravariant form that drops the first letter of the e-word makes
+    # the module look infinite; the build must stop once it passes the
+    # Weyl dimension
+    real = coordring._pair_weight_alpha
+    monkeypatch.setattr(coordring, "_pair_weight_alpha",
+                        lambda ct, lam, eword, i: real(ct, lam, eword[1:],
+                                                       i))
+    memos = (coordring._verma_f_word, coordring._form_words)
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        for name, lam in (("A2", (-1, 0)), ("B2", (0, -1)),
+                          ("G2", (-1, 0)), ("A3", (0, -1, 0))):
+            t = time.time()
+            with pytest.raises(ValueError, match="Weyl dimension"):
+                build_irrep(CartanType(name), lam)
+            assert time.time() - t < 10, (name, lam)
+    finally:
+        for memo in memos:
+            memo.cache_clear()

@@ -37,6 +37,73 @@ def test_tau_words_is_symmetric():
                             (name, E, F)
 
 
+# every weight up to height 4 on the rank-2 types, height 3 on A3
+NUMERATOR_CASES = (("A2", 4), ("B2", 4), ("G2", 4), ("A3", 3))
+
+
+def _weights_with_words(name, top):
+    ct = CartanType(name)
+    for h in range(top + 1):
+        for gamma in weights_of_height(ct, h):
+            yield ct, gamma, words_of_weight(ct, gamma)
+
+
+def test_numerator_over_denominator_is_tau_words():
+    # N(E, F) / D_beta against the independent Scalar recursion, on every
+    # ordered word pair (the memo of N is keyed on the unordered pair, the
+    # memo of tau_words on the ordered one)
+    for name, top in NUMERATOR_CASES:
+        for ct, gamma, words in _weights_with_words(name, top):
+            pr = Pairing(ct)
+            inv_d = pr.inverse_denominator(gamma)
+            for E in words:
+                for F in words:
+                    assert Scalar(pr.numerator(E, F)) * inv_d \
+                        == pr.tau_words(E, F), (name, E, F)
+
+
+def _numerator_ordered(ct, eword, fword, memo):
+    # the numerator recursion memoized on ordered pairs: it peels the last
+    # letter of eword only, so N(F, E) is computed independently of N(E, F)
+    if not eword:
+        return {} if fword else {0: 1}
+    key = (eword, fword)
+    if key not in memo:
+        j, row = eword[-1], ct.form[eword[-1]]
+        total = {}
+        for p, letter in enumerate(fword):
+            if letter != j:
+                continue
+            shift = sum(row[b] for b in fword[p + 1:])
+            sub = _numerator_ordered(ct, eword[:-1],
+                                     fword[:p] + fword[p + 1:], memo)
+            for e, v in sub.items():
+                total[e - shift] = total.get(e - shift, 0) + v
+        memo[key] = {e: v for e, v in total.items() if v}
+    return memo[key]
+
+
+def test_numerator_is_symmetric():
+    for name, top in NUMERATOR_CASES:
+        memo = {}
+        for ct, gamma, words in _weights_with_words(name, top):
+            pr = Pairing(ct)
+            for E in words:
+                for F in words:
+                    ordered = _numerator_ordered(ct, E, F, memo)
+                    assert ordered == _numerator_ordered(ct, F, E, memo), \
+                        (name, E, F)
+                    assert pr.numerator(E, F) == ordered, (name, E, F)
+
+
+def test_numerator_of_words_of_different_weights_vanishes():
+    pr = Pairing(CartanType("B2"))
+    assert pr.numerator((0, 1), (0, 0)) == {}
+    assert pr.numerator((0,), (0, 1)) == {}
+    assert pr.numerator((), (1,)) == {}
+    assert pr.numerator((), ()) == {0: 1}
+
+
 def test_tau_b2_qi():
     ct = CartanType("B2")
     pr = Pairing(ct)

@@ -9,7 +9,7 @@ from qpbw.braid import E_FAMILIES, FAMILIES
 from qpbw.pairing import Pairing, eq_mod_serre
 from qpbw.rootdata import (CartanType, all_reduced_words, kostant_count,
                            weights_of_height)
-from qpbw.scalars import Scalar, qfact, qint
+from qpbw.scalars import Scalar, c_const, qfact, qint
 from qpbw.uqcore import UElement, _fword_weight
 
 ONE = Scalar.from_int(1)
@@ -177,6 +177,22 @@ def test_solve_linear_many_targets_at_once():
             pbw.solve_linear(cols, targets + [bad])
 
 
+def test_hat_norm_is_the_orthogonality_constant():
+    # prod_r c(n_r) / [n_r]! in the q_r = q^{d_{i_r}} of each slot
+    for name in ("A2", "B2", "G2"):
+        ct = CartanType(name)
+        for word in sorted(all_reduced_words(ct, ct.longest_word())):
+            for h in range(1, 6):
+                for ga in weights_of_height(ct, h):
+                    for n in pbw.indices_of_weight(ct, "ehat", word, ga):
+                        want = ONE
+                        for i, nr in zip(word, n):
+                            d = ct.qi(i)
+                            want = want * c_const(nr, d) / qfact(nr, d)
+                        assert pbw._hat_norm(ct.name, word, n) == want, \
+                            (name, word, n)
+
+
 def _tau_double_loop(ct, x, y):
     # tau(x, y) by the bilinear double loop over the word pairs of x and y
     pr = Pairing(ct)
@@ -234,11 +250,14 @@ def _block_sha(block):
 
 
 # sha256 of the G2 ehat blocks (0,1,0,1,0,1) -> (1,0,1,0,1,0) as computed
-# with one pairing double loop per monomial pair
+# with one pairing double loop per monomial pair; (4, 6) as computed with
+# the Scalar dual vector of each row, before hat coordinates were taken
+# over Z[q, q^-1]
 G2_HAT_BLOCK_SHAS = {
     (2, 4): "cb900b7f59a861b383c32f76f19e36207aaad58946e2a34ae8a20d8808194f75",
     (3, 4): "46206695956fb7148dc8504b21a10b13c0195948ce81632cef767441d492c579",
     (3, 5): "a864911c6399f2c88982b890da3c14222c9b8f0af954c146f9b09f8449a44e8e",
+    (4, 6): "991fbe76eeccb4bb397e9d733a6bf3c1361a34dfc85cbfb34c5c8481ae40d8c8",
 }
 
 

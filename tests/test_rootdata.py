@@ -4,7 +4,8 @@ import pytest
 
 from qpbw.rootdata import (CartanType, all_reduced_words, exponent_weight,
                            format_word, kostant_count, parse_word,
-                           prefix_roots, suffix_roots, weights_of_height)
+                           prefix_roots, suffix_roots, weights_of_height,
+                           weyl_dimension)
 
 
 def alpha(ct, *idx):
@@ -210,3 +211,15 @@ def test_pair_qq_reads_the_form_table():
                 want = sum(v[i] * ct.d[i] * ct.a[i][j] * w[j]
                            for i in n for j in n)
                 assert ct.pair_qq(v, w) == want, (name, v, w)
+
+
+def test_weyl_dimension():
+    dims = {("A1", (-3,)): 4, ("A2", (-1, 0)): 3, ("A2", (-1, -1)): 8,
+            ("A2", (-2, -2)): 27, ("A3", (0, -1, 0)): 6,
+            ("A3", (-1, 0, -1)): 15, ("B2", (-1, 0)): 5, ("B2", (0, -1)): 4,
+            ("B2", (0, -3)): 20, ("G2", (0, -1)): 7, ("G2", (-1, 0)): 14}
+    for (name, lam), dim in dims.items():
+        assert weyl_dimension(CartanType(name), lam) == dim, (name, lam)
+    for name in ("A1", "A2", "A3", "B2", "G2"):
+        ct = CartanType(name)
+        assert weyl_dimension(ct, ct.zero()) == 1

@@ -648,3 +648,36 @@ def test_product_with_one_returns_the_other_operand():
     # a value equal to one but not the shared ONE still multiplies exactly
     other_one = Scalar({0: 1})
     assert other_one is not one and dq * other_one == dq
+
+
+@PROPS
+@given(st.lists(_fractions(), min_size=1, max_size=4))
+def test_property_common_denominator(values):
+    nums, inv = scalars.common_denominator(values)
+    assert _canonical(inv) and inv.num == {0: 1}
+    assert _factorization_holds(inv)
+    for s, p in zip(values, nums):
+        assert min(p, default=0) >= 0
+        assert Scalar(p) * inv == s
+    if all(scalars._factored(s) is not False for s in values):
+        # the least common denominator: nums are polynomials, so the
+        # denominator is a common multiple, and its degree is the lcm's
+        lcm = sympy.lcm_list([sum(v * Q ** e for e, v in s.den.items())
+                              for s in values])
+        assert max(inv.den) == sympy.degree(lcm, Q)
+
+
+_laurent_maps = st.dictionaries(st.integers(-4, 5),
+                                st.integers(-4, 4).filter(bool),
+                                min_size=1, max_size=4)
+
+
+@PROPS
+@given(_laurent_maps, st.lists(_fractions(), max_size=3))
+def test_property_laurent_product_is_the_product(p, factors):
+    want = scalars._laurent(p)
+    for s in factors:
+        want = want * s
+    got = scalars.laurent_product(p, factors)
+    assert got == want
+    assert _canonical(got) and _factorization_holds(got)

@@ -1,15 +1,16 @@
 """The benchmark tracer (perfbench/tracer.py) patches qpbw functions by
 name at every module that binds them; a refactor that drops one of the
 import sites it requires makes install() raise.  This checks the contract
-from the program's side: install succeeds and uninstall restores every
-patched name."""
+from the program's side: install succeeds, uninstall restores every
+patched name, and a traced `qpbw transition` call shows work in the layers
+the benchmark's transition workload declares."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
-import qpbw.cli  # noqa: F401 (loads every qpbw module the tracer patches)
-from qpbw import coordring, linalg, pbw
+# cli loads every qpbw module the tracer patches
+from qpbw import cli, coordring, linalg, pbw
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -52,3 +53,22 @@ def test_tracer_installs_and_uninstall_restores_every_name():
         assert not changed, (name, changed)
     assert pbw.solve_linear is linalg.solve_linear
     assert coordring.solve_linear is linalg.solve_linear
+
+
+def test_traced_transition_shows_pairing_pbw_and_scalar_work(monkeypatch,
+                                                             capsys):
+    # an empty block store, so that the call computes its blocks
+    monkeypatch.setattr(pbw, "_store", {})
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = cli.main(["transition", "--type", "A2", "--from", "1,2,1",
+                         "--to", "2,1,2", "--height", "2"])
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    snap = t.snapshot()
+    for name in ("pairing.calls", "pbw.calls", "scalars.mul.calls"):
+        assert snap.get(name, 0) > 0, name
