@@ -31,6 +31,7 @@ def test_c1_hopf_axioms():
 def test_c2_braid():
     t = time.time()
     res = cli.suite_braid(types=("A2", "B2", "G2"), n_random=100)
+    assert len(res) == 136
     _report("C2 braid", res, time.time() - t, 60)
 
 

@@ -85,16 +85,34 @@ def test_verify_with_type_and_height(capsys):
     assert json.loads(out)["failures"] == []
 
 
+# cases of each default `verify S --format json` run; hopf (3110) and braid
+# (136) are pinned where they already run at their defaults, in
+# test_hopf_default_case_labels_pinned and in C2
+DEFAULT_CASES = {"pairing": 96, "pbw-orth": 108, "transfer": 140,
+                 "decomp": 224, "koy": 65, "conj1": 59, "sl2": 13}
+
+
+@pytest.mark.parametrize("suite", sorted(DEFAULT_CASES))
+def test_default_verify_json_pinned(capsys, suite):
+    code, out, err = run(["verify", suite, "--format", "json"], capsys)
+    assert code == 0 and not err
+    assert out == ('{\n  "schema": 1,\n  "suite": "%s",\n  "cases": %d,\n'
+                   '  "failures": []\n}\n' % (suite, DEFAULT_CASES[suite]))
+
+
 def test_verify_unknown_suite(capsys):
-    code, _, err = run(["verify", "nonsense"], capsys)
-    assert code == 2
-    assert err
+    code, out, err = run(["verify", "nonsense"], capsys)
+    assert code == 2 and not out
+    assert err == ("unknown suite: nonsense (choose from hopf, braid, "
+                   "pairing, pbw-orth, transfer, decomp, koy, conj1, sl2, "
+                   "oracle)\n")
 
 
 def test_verify_unknown_type(capsys):
-    code, _, err = run(["verify", "decomp", "--type", "Z9"],
-                       capsys)
-    assert code == 2
+    code, out, err = run(["verify", "decomp", "--type", "Z9"],
+                         capsys)
+    assert code == 2 and not out
+    assert err == "unknown type: Z9\n"
 
 
 def test_verify_bad_d_reading(capsys):
@@ -121,16 +139,17 @@ def test_text_output(capsys):
 def test_one_word_type_for_word_comparing_suites(capsys):
     for suite in ("koy", "oracle", "braid"):
         code, out, err = run(["verify", suite, "--type", "A1"], capsys)
-        assert code == 2
-        assert "A1" in err and not out
+        assert code == 2 and not out
+        assert err == ("suite %s needs a type of rank 2 or more: A1 has one "
+                       "reduced word and no braid relation\n" % suite)
 
 
 def test_sl2_suite_rejects_types_other_than_a1(capsys):
     # the suite checks A1 only; another type must not pass vacuously
     for name in ("A2", "B2", "G2"):
         code, out, err = run(["verify", "sl2", "--type", name], capsys)
-        assert code == 2
-        assert name in err and not out
+        assert code == 2 and not out
+        assert err == "suite sl2 checks A1 only, not %s\n" % name
     code, out, _ = run(["verify", "sl2", "--type", "A1", "--height", "2"],
                        capsys)
     assert code == 0 and "0 failures" in out
@@ -172,11 +191,18 @@ def test_verify_deciding_no_case_exits_2(capsys, monkeypatch):
         for fmt in ("text", "json"):
             code, out, err = run(["verify", suite, "--type", "A2",
                                   "--height", "0", "--format", fmt], capsys)
-            assert code == 2
-            assert suite in err and "height 0" in err and not out
+            assert code == 2 and not out
+            assert err == ("suite %s decides no case on A2 at height 0: "
+                           "nothing was checked\n" % suite)
+    code, out, err = run(["verify", "transfer", "--height", "0"], capsys)
+    assert code == 2 and not out
+    assert err == ("suite transfer decides no case at height 0: nothing was "
+                   "checked\n")
     monkeypatch.setenv("QPBW_HEIGHT", "0")
     code, out, err = run(["verify", "transfer", "--type", "B2"], capsys)
-    assert code == 2 and "transfer" in err and not out
+    assert code == 2 and not out
+    assert err == ("suite transfer decides no case on B2 at height 0: "
+                   "nothing was checked\n")
     code, out, _ = run(["verify", "decomp", "--type", "A2",
                         "--height", "1"], capsys)
     assert code == 0 and "0 failures" in out
@@ -189,7 +215,12 @@ def test_verify_conj1_deciding_no_case_on_the_type_exits_2(capsys):
         code, out, err = run(["verify", "conj1", "--type", "B2",
                               "--height", "0", "--format", fmt], capsys)
         assert code == 2 and not out
-        assert "conj1" in err and "B2" in err and "height 0" in err
+        assert err == ("suite conj1 decides no case on B2 at height 0: "
+                       "nothing was checked\n")
+    code, out, err = run(["verify", "conj1", "--height", "0"], capsys)
+    assert code == 2 and not out
+    assert err == ("suite conj1 decides no case at height 0: nothing was "
+                   "checked\n")
     code, out, _ = run(["verify", "conj1", "--type", "A2", "--height", "1"],
                        capsys)
     assert code == 0 and "0 failures" in out
@@ -360,9 +391,9 @@ def test_oracle_report_counts_what_it_checked(capsys):
     # 18 matrix coefficients of the two fundamental modules
     code, out, _ = run(["verify", "oracle", "--format", "json"], capsys)
     assert code == 0
-    assert json.loads(out) == {"schema": 1, "suite": "oracle", "cases": 1,
-                               "decisions": 234, "phi_checked": 18,
-                               "failures": []}
+    assert out == ('{\n  "schema": 1,\n  "suite": "oracle",\n  "cases": 1,\n'
+                   '  "decisions": 234,\n  "phi_checked": 18,\n'
+                   '  "failures": []\n}\n')
     code, text, _ = run(["verify", "oracle"], capsys)
     assert code == 0
     assert text == ("suite oracle: 1 cases, 234 decisions, "
