@@ -7,9 +7,10 @@ Two subcommands:
 
 Exit codes: 0 all checks pass / emission succeeded, 1 at least one check
 failed (witnesses on stdout), 2 invalid usage (unknown suite, bad word,
-unknown type, negative height, a one-word type for a suite that compares
-words) or a verify run that decides no case.  JSON output is
-deterministic: identical configurations produce byte-identical documents.
+unknown type, negative height, a type the suite does not accept, --height
+or --d-reading on a suite that does not read it) or a verify run that
+decides no case.  JSON output is deterministic: identical configurations
+produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import os
 import random
 import sys
+from typing import Callable, NamedTuple
 
 from . import braid, coordring, fock, pbw
 from .linalg import rank
@@ -30,11 +32,8 @@ from .uqcore import UElement, UTensor, _add_term, mono_str
 
 TYPE_NAMES = ("A1", "A2", "A3", "B2", "G2")
 
-SUITES = ("hopf", "braid", "pairing", "pbw-orth", "transfer", "decomp",
-          "koy", "conj1", "sl2", "oracle")
-
-# suites that compare two reduced words or two simple roots
-RANK2_SUITES = ("braid", "koy", "oracle")
+COUNT_HEIGHT = 5    # koy checks Kostant counts up to this height (3 on A3)
+LADDER_TOP = 8      # the A1 ladder checks n = 0 .. LADDER_TOP
 
 # per-case counts of what a case checked, summed into the verify report
 # when every case of the suite carries them
@@ -146,6 +145,14 @@ def _hopf_case(cache, label, x, delta):
     return out
 
 
+def _generators(ct):
+    """The generators e_i, f_i and k_i of ct, labelled e1, ..., k<rank>."""
+    return [("%s%d" % (kind, i + 1), make(ct, i))
+            for kind, make in (("e", UElement.e), ("f", UElement.f),
+                               ("k", UElement.k_i))
+            for i in range(ct.rank)]
+
+
 def suite_hopf(types=("A2", "B2"), length=4):
     """Counit, coassociativity and antipode axioms on all generator words,
     each checked as the pre-order walk over the words reaches it."""
@@ -153,13 +160,8 @@ def suite_hopf(types=("A2", "B2"), length=4):
     for name in types:
         ct = CartanType(name)
         cache = _MonoCache(ct)
-        alphabet = [("e%d" % (i + 1), UElement.e(ct, i)) for i in
-                    range(ct.rank)]
-        alphabet += [("f%d" % (i + 1), UElement.f(ct, i)) for i in
-                     range(ct.rank)]
-        alphabet += [("k%d" % (i + 1), UElement.k_i(ct, i)) for i in
-                     range(ct.rank)]
-        alphabet = [(tag, gen, gen.coproduct()) for tag, gen in alphabet]
+        alphabet = [(tag, gen, gen.coproduct())
+                    for tag, gen in _generators(ct)]
 
         def walk(label, x, delta, depth):
             cases.append(_hopf_case(cache, label or "1", x, delta))
@@ -232,46 +234,37 @@ def _braid_word_pair(ct, i, j):
 
 
 def suite_braid(types=("A2", "B2", "G2"), n_random=100, seed=11):
-    """Braid relations on generators; hat = S^-1 dot S; counit invariance."""
+    """Braid relations on generators; hat = S^-1 dot S; counit invariance.
+    The random elements are drawn from the types of rank 2 or more."""
     cases = []
     for name in types:
         ct = CartanType(name)
-        gens = [("e%d" % (k + 1), UElement.e(ct, k)) for k in range(ct.rank)]
-        gens += [("f%d" % (k + 1), UElement.f(ct, k)) for k in range(ct.rank)]
-        gens += [("k%d" % (k + 1), UElement.k_i(ct, k)) for k in
-                 range(ct.rank)]
+        gens = _generators(ct)
         for i in range(ct.rank):
             for j in range(i + 1, ct.rank):
                 w1, w2 = _braid_word_pair(ct, i, j)
                 for kind in ("dot", "hat"):
                     for tag, g in gens:
-                        def case(ct=ct, kind=kind, w1=w1, w2=w2, g=g,
-                                 tag=tag):
-                            lhs = braid.apply_word(ct, kind, w1, g)
-                            rhs = braid.apply_word(ct, kind, w2, g)
-                            return _serre_case(
-                                "braid %s %s %s on %s" % (
-                                    ct.name, kind, format_word(w1), tag),
-                                lhs, rhs)
-                        cases.append(case)
+                        cases.append(_serre_case(
+                            "braid %s %s %s on %s"
+                            % (ct.name, kind, format_word(w1), tag),
+                            braid.apply_word(ct, kind, w1, g),
+                            braid.apply_word(ct, kind, w2, g)))
     rng = random.Random(seed)
-    rank2 = [CartanType(n) for n in types if CartanType(n).rank == 2]
+    drawn = [CartanType(n) for n in types if CartanType(n).rank >= 2]
     for t in range(n_random):
-        ct = rng.choice(rank2)
+        ct = rng.choice(drawn)
         u = _random_element(ct, rng, max_len=1 if ct.name == "G2" else 2)
         i = rng.randrange(ct.rank)
-
-        def case(ct=ct, u=u, i=i, t=t):
-            hat = braid.t_hat(ct, i, u)
-            via_s = braid.t_dot(ct, i, u.antipode()).antipode_inv()
-            out = _serre_case("dThT/epsT %s #%d" % (ct.name, t), hat, via_s)
-            eps = (braid.t_dot(ct, i, u).counit(), hat.counit(), u.counit())
-            if out["pass"] and not eps[0] == eps[1] == eps[2]:
-                out["pass"] = False
-                out["witness"] = {"counits": [str(c) for c in eps]}
-            return out
-        cases.append(case)
-    return [case() for case in cases]
+        hat = braid.t_hat(ct, i, u)
+        via_s = braid.t_dot(ct, i, u.antipode()).antipode_inv()
+        out = _serre_case("dThT/epsT %s #%d" % (ct.name, t), hat, via_s)
+        eps = (braid.t_dot(ct, i, u).counit(), hat.counit(), u.counit())
+        if out["pass"] and not eps[0] == eps[1] == eps[2]:
+            out["pass"] = False
+            out["witness"] = {"counits": [str(c) for c in eps]}
+        cases.append(out)
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -290,52 +283,71 @@ def suite_pairing(types=("A2", "B2"), height=4):
         pr = Pairing(ct)
         for i in range(ct.rank):
             for j in range(ct.rank):
-                def case(ct=ct, pr=pr, i=i, j=j):
-                    got = pr.tau_words((i,), (j,))
-                    if i == j:
-                        want = (Scalar.q_power(ct.qi(i))
-                                - Scalar.q_power(-ct.qi(i))).inverse()
-                    else:
-                        want = ZERO
-                    return {"check": "tau(e%d,f%d) %s" % (i + 1, j + 1,
-                                                          ct.name),
-                            "pass": got == want, "got": str(got)}
-                cases.append(case)
+                got = pr.tau_words((i,), (j,))
+                if i == j:
+                    want = (Scalar.q_power(ct.qi(i))
+                            - Scalar.q_power(-ct.qi(i))).inverse()
+                else:
+                    want = ZERO
+                cases.append({"check": "tau(e%d,f%d) %s"
+                              % (i + 1, j + 1, ct.name),
+                              "pass": got == want, "got": str(got)})
         weights = _weights_up_to(ct, height)
         for ga in weights:
-            def gram_case(ct=ct, pr=pr, ga=ga):
-                ews = words_of_weight(ct, ga)
-                rows = []
-                for ew in ews:
-                    row = {}
-                    for fw in ews:
-                        v = pr.tau_words(ew, fw)
-                        if not v.is_zero():
-                            row[fw] = v
-                    rows.append(row)
-                want = kostant_count(ct, ga)
-                got = rank(rows)
-                return {"check": "gram rank %s at %s" % (ct.name, list(ga)),
-                        "pass": got == want, "got": got, "want": want}
-            cases.append(gram_case)
+            ews = words_of_weight(ct, ga)
+            rows = []
+            for ew in ews:
+                row = {}
+                for fw in ews:
+                    v = pr.tau_words(ew, fw)
+                    if not v.is_zero():
+                        row[fw] = v
+                rows.append(row)
+            want = kostant_count(ct, ga)
+            got = rank(rows)
+            cases.append({"check": "gram rank %s at %s"
+                          % (ct.name, list(ga)),
+                          "pass": got == want, "got": got, "want": want})
         # mismatched weights pair to zero
         for ga in weights[:6]:
             for gb in weights[:6]:
                 if ga == gb:
                     continue
-
-                def zero_case(ct=ct, pr=pr, ga=ga, gb=gb):
-                    ok = all(pr.tau_words(ew, fw).is_zero()
-                             for ew in words_of_weight(ct, ga)[:3]
-                             for fw in words_of_weight(ct, gb)[:3])
-                    return {"check": "weight orthogonality %s %s/%s"
-                            % (ct.name, list(ga), list(gb)), "pass": ok}
-                cases.append(zero_case)
-    return [case() for case in cases]
+                ok = all(pr.tau_words(ew, fw).is_zero()
+                         for ew in words_of_weight(ct, ga)[:3]
+                         for fw in words_of_weight(ct, gb)[:3])
+                cases.append({"check": "weight orthogonality %s %s/%s"
+                              % (ct.name, list(ga), list(gb)), "pass": ok})
+    return cases
 
 
 # ---------------------------------------------------------------------------
 # PBW orthogonality suite
+
+def _pbw_orth_case(ct, pr, word, ga):
+    """tau(ehat^(n), fhat^n') on the block of weight ga along word; a
+    failure names the first pair (n, n') that differs."""
+    out = {"check": "pbw-orth %s %s at %s"
+           % (ct.name, format_word(word), list(ga)), "pass": True}
+    idx = pbw.indices_of_weight(ct, "ehat", word, ga)
+    for n in idx:
+        em_div = pbw.pbw_monomial(ct, "ehat", word, n)
+        for n2 in idx:
+            fm = pbw.pbw_monomial(ct, "fhat", word, n2)
+            got = pr.tau(em_div, fm)
+            want = ZERO
+            if n == n2:
+                want = ONE
+                for r, nr in enumerate(n):
+                    d = ct.qi(word[r])
+                    want = want * c_const(nr, d) / qfact(nr, d)
+            if got != want:
+                out["pass"] = False
+                out["witness"] = {"n": list(n), "n2": list(n2),
+                                  "got": str(got), "want": str(want)}
+                return out
+    return out
+
 
 def suite_pbw_orth(types=(("A2", 5), ("B2", 5), ("G2", 4))):
     """tau(ehat^(n), fhat^n') = delta * prod c(n_r)/[n_r]! along every word.
@@ -348,39 +360,9 @@ def suite_pbw_orth(types=(("A2", 5), ("B2", 5), ("G2", 4))):
         ct = CartanType(name)
         pr = Pairing(ct)
         for word in sorted(all_reduced_words(ct, ct.longest_word())):
-            for ga in _weights_up_to(ct, height):
-                def case(ct=ct, pr=pr, word=word, ga=ga):
-                    idx = pbw.indices_of_weight(ct, "ehat", word, ga)
-                    ok = True
-                    witness = None
-                    for n in idx:
-                        em_div = pbw.pbw_monomial(ct, "ehat", word, n)
-                        for n2 in idx:
-                            fm = pbw.pbw_monomial(ct, "fhat", word, n2)
-                            got = pr.tau(em_div, fm)
-                            want = ZERO
-                            if n == n2:
-                                want = ONE
-                                for r, nr in enumerate(n):
-                                    d = ct.qi(word[r])
-                                    want = want * c_const(nr, d) \
-                                        / qfact(nr, d)
-                            if got != want:
-                                ok = False
-                                witness = {"n": list(n), "n2": list(n2),
-                                           "got": str(got),
-                                           "want": str(want)}
-                                break
-                        if not ok:
-                            break
-                    out = {"check": "pbw-orth %s %s at %s"
-                           % (ct.name, format_word(word), list(ga)),
-                           "pass": ok}
-                    if witness:
-                        out["witness"] = witness
-                    return out
-                cases.append(case)
-    return [case() for case in cases]
+            cases += [_pbw_orth_case(ct, pr, word, ga)
+                      for ga in _weights_up_to(ct, height)]
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +384,15 @@ def suite_transfer(types=("A2", "B2", "G2"), height=4):
                 for r in range(1, len(word) + 1)]
             for ga in _weights_up_to(ct, height):
                 for n in pbw.indices_of_weight(ct, "etilde", word, ga):
-                    def case(ct=ct, word=word, n=n, imgs=imgs):
-                        lhs = UElement.one(ct)
-                        for r in reversed(range(len(word))):
-                            for _ in range(n[r]):
-                                lhs = lhs * imgs[r]
-                        rhs = pbw.pbw_monomial(ct, "fhat", word, n)
-                        return _serre_case(
-                            "transfer %s %s n=%s"
-                            % (ct.name, format_word(word), list(n)),
-                            lhs, rhs)
-                    cases.append(case)
-    return [case() for case in cases]
+                    lhs = UElement.one(ct)
+                    for r in reversed(range(len(word))):
+                        for _ in range(n[r]):
+                            lhs = lhs * imgs[r]
+                    cases.append(_serre_case(
+                        "transfer %s %s n=%s"
+                        % (ct.name, format_word(word), list(n)),
+                        lhs, pbw.pbw_monomial(ct, "fhat", word, n)))
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -428,94 +407,82 @@ def suite_decomp(types=("A2", "B2", "G2"), height=4):
         m = len(word)
         for cut in range(m + 1):
             for ga in _weights_up_to(ct, height):
-                def case(ct=ct, word=word, cut=cut, ga=ga):
-                    rows = []
-                    for n in pbw.indices_of_weight(ct, "ehat", word, ga):
-                        npre = n[:cut] + (0,) * (len(word) - cut)
-                        nsuf = (0,) * cut + n[cut:]
-                        prod = (pbw.pbw_monomial(ct, "ehat", word, npre)
-                                * pbw.pbw_monomial(ct, "ehat", word, nsuf))
-                        rows.append(canonical_coords(prod))
-                    want = kostant_count(ct, ga)
-                    got = rank(rows)
-                    return {"check": "decomp %s cut=%d at %s"
-                            % (ct.name, cut, list(ga)),
-                            "pass": got == want, "got": got, "want": want}
-                cases.append(case)
-    return [case() for case in cases]
+                rows = []
+                for n in pbw.indices_of_weight(ct, "ehat", word, ga):
+                    npre = n[:cut] + (0,) * (m - cut)
+                    nsuf = (0,) * cut + n[cut:]
+                    prod = (pbw.pbw_monomial(ct, "ehat", word, npre)
+                            * pbw.pbw_monomial(ct, "ehat", word, nsuf))
+                    rows.append(canonical_coords(prod))
+                want = kostant_count(ct, ga)
+                got = rank(rows)
+                cases.append({"check": "decomp %s cut=%d at %s"
+                              % (ct.name, cut, list(ga)),
+                              "pass": got == want, "got": got, "want": want})
+    return cases
 
 
 # ---------------------------------------------------------------------------
 # transition / koy suite
 
-def suite_koy(types=("A2", "B2"), height=3, count_height=5, d_reading="qi"):
+def suite_koy(types=("A2", "B2"), height=3, d_reading="qi"):
     """Kostant index counts, transition round trips, module basis-change
     round trips."""
     cases = []
     for name in types:
         ct = CartanType(name)
         words = sorted(all_reduced_words(ct, ct.longest_word()))
-        ch = count_height if ct.rank <= 2 else min(count_height, 3)
+        ch = COUNT_HEIGHT if ct.rank <= 2 else min(COUNT_HEIGHT, 3)
         for word in words:
-            def count_case(ct=ct, word=word, ch=ch):
-                out = {"check": "kostant counts %s %s"
-                       % (ct.name, format_word(word)), "pass": True}
-                for ga in _weights_up_to(ct, ch):
-                    got = len(pbw.indices_of_weight(ct, "ehat", word, ga))
-                    if got != kostant_count(ct, ga):
-                        out["pass"] = False
-                        out["witness"] = {"weight": list(ga), "indices": got,
-                                          "kostant": kostant_count(ct, ga)}
-                        break
-                return out
-            cases.append(count_case)
+            out = {"check": "kostant counts %s %s"
+                   % (ct.name, format_word(word)), "pass": True}
+            for ga in _weights_up_to(ct, ch):
+                got = len(pbw.indices_of_weight(ct, "ehat", word, ga))
+                if got != kostant_count(ct, ga):
+                    out["pass"] = False
+                    out["witness"] = {"weight": list(ga), "indices": got,
+                                      "kostant": kostant_count(ct, ga)}
+                    break
+            cases.append(out)
         for wa in words:
             for wb in words:
                 if wa == wb:
                     continue
                 for ga in _weights_up_to(ct, height):
-                    def rt_case(ct=ct, wa=wa, wb=wb, ga=ga):
-                        fwd = pbw.transition_matrix(ct, "ehat", wa, wb, ga)
-                        bwd = pbw.transition_matrix(ct, "ehat", wb, wa, ga)
-                        out = {"check": "round trip %s %s<->%s at %s"
-                               % (ct.name, format_word(wa), format_word(wb),
-                                  list(ga)), "pass": True}
-                        for n in sorted(fwd):
-                            acc = {}
-                            for n2, c in fwd[n].items():
-                                for n3, c2 in bwd[n2].items():
-                                    acc[n3] = acc.get(n3, ZERO) + c * c2
-                            got = fock.FockVector(ct, wa, acc)
-                            bad = _fock_witness(
-                                got, fock.FockVector.basis(ct, wa, n))
-                            if bad:
-                                out["pass"] = False
-                                out["witness"] = dict(src=list(n), **bad)
-                                break
-                        return out
-                    cases.append(rt_case)
+                    fwd = pbw.transition_matrix(ct, "ehat", wa, wb, ga)
+                    bwd = pbw.transition_matrix(ct, "ehat", wb, wa, ga)
+                    out = {"check": "round trip %s %s<->%s at %s"
+                           % (ct.name, format_word(wa), format_word(wb),
+                              list(ga)), "pass": True}
+                    for n in sorted(fwd):
+                        acc = {}
+                        for n2, c in fwd[n].items():
+                            for n3, c2 in bwd[n2].items():
+                                acc[n3] = acc.get(n3, ZERO) + c * c2
+                        got = fock.FockVector(ct, wa, acc)
+                        bad = _fock_witness(
+                            got, fock.FockVector.basis(ct, wa, n))
+                        if bad:
+                            out["pass"] = False
+                            out["witness"] = dict(src=list(n), **bad)
+                            break
+                    cases.append(out)
         # module-level basis change round trips on basis vectors
         wa, wb = words[0], words[1]
         for ga in _weights_up_to(ct, min(height, 3)):
             for n in pbw.indices_of_weight(ct, "ehat", wa, ga):
-                def fock_case(ct=ct, wa=wa, wb=wb, n=n,
-                              d_reading=d_reading):
-                    v = fock.FockVector.basis(ct, wa, n)
-                    rt = fock.koy_transform(
-                        ct, wb, wa,
-                        fock.koy_transform(ct, wa, wb, v, d_reading, 20),
-                        d_reading, 20)
-                    return _fock_case("koy round trip %s n=%s"
-                                      % (ct.name, list(n)), rt, v)
-                cases.append(fock_case)
-    return [case() for case in cases]
+                v = fock.FockVector.basis(ct, wa, n)
+                rt = fock.koy_transform(
+                    ct, wb, wa,
+                    fock.koy_transform(ct, wa, wb, v, d_reading, 20),
+                    d_reading, 20)
+                cases.append(_fock_case("koy round trip %s n=%s"
+                                        % (ct.name, list(n)), rt, v))
+    return cases
 
 
 # ---------------------------------------------------------------------------
 # conj1 suite
-
-LADDER_TOP = 8      # the A1 ladder checks n = 0 .. LADDER_TOP
-
 
 def suite_conj1(types=("A2", "B2"), height=3, d_reading="qi"):
     """Word-independence of the transported e_i operator; A1 ladder."""
@@ -529,39 +496,31 @@ def suite_conj1(types=("A2", "B2"), height=3, d_reading="qi"):
             for i in range(ct.rank):
                 for ga in _weights_up_to(ct, height):
                     for n in pbw.indices_of_weight(ct, "ehat", base, ga):
-                        def case(ct=ct, base=base, other=other, i=i, n=n,
-                                 d_reading=d_reading, inner=inner):
-                            v = fock.FockVector.basis(ct, base, n)
-                            lhs = fock.koy_transform(
-                                ct, base, other,
-                                fock.conj1_operator(ct, base, i, v,
-                                                    d_reading, inner),
-                                d_reading, inner)
-                            rhs = fock.conj1_operator(
-                                ct, other, i,
-                                fock.koy_transform(ct, base, other, v,
-                                                   d_reading, inner),
-                                d_reading, inner)
-                            return _fock_case(
-                                "conj1 %s i=%d n=%s via %s"
-                                % (ct.name, i + 1, list(n),
-                                   format_word(other)), lhs, rhs)
-                        cases.append(case)
-    if not cases and "A1" not in types:
-        # the ladder alone decides nothing on the requested types
-        return []
+                        v = fock.FockVector.basis(ct, base, n)
+                        lhs = fock.koy_transform(
+                            ct, base, other,
+                            fock.conj1_operator(ct, base, i, v, d_reading,
+                                                inner),
+                            d_reading, inner)
+                        rhs = fock.conj1_operator(
+                            ct, other, i,
+                            fock.koy_transform(ct, base, other, v, d_reading,
+                                               inner),
+                            d_reading, inner)
+                        cases.append(_fock_case(
+                            "conj1 %s i=%d n=%s via %s"
+                            % (ct.name, i + 1, list(n), format_word(other)),
+                            lhs, rhs))
     a1 = CartanType("A1")
     for n in range(LADDER_TOP + 1):
-        def ladder(n=n, a1=a1, d_reading=d_reading):
-            v = fock.FockVector.basis(a1, (0,), (n,))
-            got = fock.conj1_operator(a1, (0,), 0, v, d_reading, n + 2)
-            den = Scalar.q_power(n + 2) - Scalar.q_power(n)
-            want = fock.FockVector.basis(a1, (0,), (n + 1,)).scale(
-                -den.inverse())
-            return {"check": "A1 ladder n=%d" % n, "pass": got == want,
-                    "got": repr(got)}
-        cases.append(ladder)
-    return [case() for case in cases]
+        v = fock.FockVector.basis(a1, (0,), (n,))
+        got = fock.conj1_operator(a1, (0,), 0, v, d_reading, n + 2)
+        den = Scalar.q_power(n + 2) - Scalar.q_power(n)
+        want = fock.FockVector.basis(a1, (0,), (n + 1,)).scale(
+            -den.inverse())
+        cases.append({"check": "A1 ladder n=%d" % n, "pass": got == want,
+                      "got": repr(got)})
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -585,26 +544,20 @@ def _apply_letters(letters, act):
 def _sl2_relation_cases(act, vectors, label):
     cases = []
     for lhs, rhs, qpow in _SL2_RELATIONS:
-        def case(lhs=lhs, rhs=rhs, qpow=qpow, act=act, vectors=vectors,
-                 label=label):
-            ok = all(_apply_letters(lhs, act)(v)
-                     == _apply_letters(rhs, act)(v).scale(Scalar.q_power(qpow))
-                     for v in vectors)
-            return {"check": "sl2 %s=q^%d %s (%s)" % (lhs, qpow, rhs, label),
-                    "pass": ok}
-        cases.append(case)
-
-    def det_case(act=act, vectors=vectors, label=label):
-        qq = Scalar.q_power(1) - Scalar.q_power(-1)
-        ok = all(
-            (_apply_letters("ad", act)(v) - _apply_letters("da", act)(v))
-            == _apply_letters("bc", act)(v).scale(qq)
-            and (_apply_letters("ad", act)(v)
-                 - _apply_letters("bc", act)(v).scale(Scalar.q_power(1))) == v
-            for v in vectors)
-        return {"check": "sl2 ad-da=(q-q^-1)bc, ad-qbc=1 (%s)" % label,
-                "pass": ok}
-    cases.append(det_case)
+        ok = all(_apply_letters(lhs, act)(v)
+                 == _apply_letters(rhs, act)(v).scale(Scalar.q_power(qpow))
+                 for v in vectors)
+        cases.append({"check": "sl2 %s=q^%d %s (%s)"
+                      % (lhs, qpow, rhs, label), "pass": ok})
+    qq = Scalar.q_power(1) - Scalar.q_power(-1)
+    ok = all(
+        (_apply_letters("ad", act)(v) - _apply_letters("da", act)(v))
+        == _apply_letters("bc", act)(v).scale(qq)
+        and (_apply_letters("ad", act)(v)
+             - _apply_letters("bc", act)(v).scale(Scalar.q_power(1))) == v
+        for v in vectors)
+    cases.append({"check": "sl2 ad-da=(q-q^-1)bc, ad-qbc=1 (%s)" % label,
+                  "pass": ok})
     return cases
 
 
@@ -647,13 +600,11 @@ def suite_sl2(max_n=10):
         return coordring.act_on_tensor(letters[g], (0,), v)
     cases += _sl2_relation_cases(realized, vectors, "matrix coefficients")
 
-    def agreement():
-        ok = all(direct(g, v) == realized(g, v)
-                 for g in "abcd" for v in vectors)
-        return {"check": "sl2 slot rules = matrix coefficients",
-                "pass": ok}
-    cases.append(agreement)
-    return [case() for case in cases]
+    ok = all(direct(g, v) == realized(g, v)
+             for g in "abcd" for v in vectors)
+    cases.append({"check": "sl2 slot rules = matrix coefficients",
+                  "pass": ok})
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -666,66 +617,105 @@ def suite_oracle(types=(("A2", 3),), d_reading="qi"):
     for name, height in types:
         ct = CartanType(name)
         words = sorted(all_reduced_words(ct, ct.longest_word()))
-
-        def case(ct=ct, words=words, height=height, d_reading=d_reading):
-            report = coordring.verify_intertwiner(ct, words[0], words[1],
-                                                  height, d_reading)
-            bad = [r for r in report if not r["pass"]]
-            out = {"check": "oracle %s h<=%d (%d cases, %s reading)"
-                   % (ct.name, height, len(report), d_reading),
-                   "pass": not bad,
-                   "decisions": len(report),
-                   "phi_checked": len({r["phi"] for r in report}),
-                   "phi_failed": len({r["phi"] for r in bad})}
-            if bad:
-                out["witness"] = bad[0]
-            return out
-        cases.append(case)
-    return [case() for case in cases]
+        report = coordring.verify_intertwiner(ct, words[0], words[1],
+                                              height, d_reading)
+        bad = [r for r in report if not r["pass"]]
+        out = {"check": "oracle %s h<=%d (%d cases, %s reading)"
+               % (ct.name, height, len(report), d_reading),
+               "pass": not bad,
+               "decisions": len(report),
+               "phi_checked": len({r["phi"] for r in report}),
+               "phi_failed": len({r["phi"] for r in bad})}
+        if bad:
+            out["witness"] = bad[0]
+        cases.append(out)
+    return cases
 
 
 # ---------------------------------------------------------------------------
-# runner plumbing
+# the suite table
 
-def run_suite(name, type_name=None, height=None, d_reading="qi"):
-    """Dispatch a named suite with CLI-level defaults; returns case list.
-    A height of None selects the suite's default; 0 means 0."""
-    def bound(default):
-        return default if height is None else height
+def _names(pairs):
+    return tuple(name for name, _ in pairs)
 
-    if name == "hopf":
-        return suite_hopf(types=(type_name,) if type_name else ("A2", "B2"))
-    if name == "braid":
-        return suite_braid(types=(type_name,) if type_name
-                           else ("A2", "B2", "G2"))
-    if name == "pairing":
-        return suite_pairing(types=(type_name,) if type_name
-                             else ("A2", "B2"), height=bound(4))
-    if name == "pbw-orth":
-        if type_name:
-            types = ((type_name, bound(4 if type_name == "G2" else 5)),)
-        else:
-            types = (("A2", bound(5)), ("B2", bound(5)), ("G2", bound(4)))
-        return suite_pbw_orth(types=types)
-    if name == "transfer":
-        return suite_transfer(types=(type_name,) if type_name
-                              else ("A2", "B2", "G2"), height=bound(4))
-    if name == "decomp":
-        return suite_decomp(types=(type_name,) if type_name
-                            else ("A2", "B2", "G2"), height=bound(4))
-    if name == "koy":
-        return suite_koy(types=(type_name,) if type_name else ("A2", "B2"),
-                         height=bound(3), d_reading=d_reading)
-    if name == "conj1":
-        return suite_conj1(types=(type_name,) if type_name
-                           else ("A2", "B2"), height=bound(3),
-                           d_reading=d_reading)
-    if name == "sl2":
-        return suite_sl2(max_n=bound(10))
-    if name == "oracle":
-        return suite_oracle(types=((type_name or "A2", bound(3)),),
-                            d_reading=d_reading)
-    raise KeyError(name)
+
+def _height(pairs):
+    """The height of a run whose (type, height) pairs all share one."""
+    return pairs[0][1]
+
+
+def _ladder_only(cases, type_name):
+    """conj1 adds the A1 ladder to every run, which checks nothing of
+    another requested type."""
+    return len(cases) == LADDER_TOP + 1 and type_name != "A1"
+
+
+# the types a suite accepts, with the reason it rejects the others
+ANY_TYPE = (TYPE_NAMES, None)
+RANK_2_UP = (("A2", "A3", "B2", "G2"),
+             "suite {suite} needs a type of rank 2 or more: A1 has one "
+             "reduced word and no braid relation")
+A1_ONLY = (("A1",), "suite {suite} checks A1 only, not {type}")
+
+
+class Suite(NamedTuple):
+    """How `qpbw verify` runs one suite.  `run` calls the suite function on
+    the run's (type, height) pairs, looking the function up by name when
+    it runs.  Without --type a run takes the `defaults` pairs; a type they
+    do not list gets the first pair's height.  `height` says what --height
+    bounds (None: the suite reads no height).  `vacuous(cases, --type)`
+    says the run decided no case of the requested types."""
+    run: Callable
+    defaults: tuple
+    height: str | None
+    accepts: tuple
+    d_reading: bool = False
+    vacuous: Callable = lambda cases, type_name: not cases
+
+
+SUITES = {
+    "hopf": Suite(lambda ps: suite_hopf(types=_names(ps)),
+                  (("A2", None), ("B2", None)), None, ANY_TYPE),
+    "braid": Suite(lambda ps: suite_braid(types=_names(ps)),
+                   (("A2", None), ("B2", None), ("G2", None)), None,
+                   RANK_2_UP),
+    "pairing": Suite(lambda ps: suite_pairing(_names(ps), _height(ps)),
+                     (("A2", 4), ("B2", 4)), "weight height", ANY_TYPE),
+    "pbw-orth": Suite(lambda ps: suite_pbw_orth(types=ps),
+                      (("A2", 5), ("B2", 5), ("G2", 4)), "weight height",
+                      ANY_TYPE),
+    "transfer": Suite(lambda ps: suite_transfer(_names(ps), _height(ps)),
+                      (("A2", 4), ("B2", 4), ("G2", 4)), "weight height",
+                      ANY_TYPE),
+    "decomp": Suite(lambda ps: suite_decomp(_names(ps), _height(ps)),
+                    (("A2", 4), ("B2", 4), ("G2", 4)), "weight height",
+                    ANY_TYPE),
+    "koy": Suite(lambda ps, **kw: suite_koy(_names(ps), _height(ps), **kw),
+                 (("A2", 3), ("B2", 3)), "weight height", RANK_2_UP,
+                 d_reading=True),
+    "conj1": Suite(lambda ps, **kw: suite_conj1(_names(ps), _height(ps),
+                                                **kw),
+                   (("A2", 3), ("B2", 3)), "weight height", ANY_TYPE,
+                   d_reading=True, vacuous=_ladder_only),
+    "sl2": Suite(lambda ps: suite_sl2(max_n=_height(ps)), (("A1", 10),),
+                 "largest exponent n", A1_ONLY),
+    "oracle": Suite(lambda ps, **kw: suite_oracle(types=ps, **kw),
+                    (("A2", 3),), "weight height", RANK_2_UP,
+                    d_reading=True),
+}
+
+
+def run_suite(name, type_name=None, height=None, d_reading=None):
+    """Run a named suite; returns its case list.  A type, height or
+    reading of None selects the suite's default; height 0 means 0."""
+    suite = SUITES[name]
+    pairs = suite.defaults
+    if type_name:
+        pairs = ((type_name, dict(pairs).get(type_name, pairs[0][1])),)
+    if height is not None and suite.height:
+        pairs = tuple((t, height) for t, _ in pairs)
+    options = {"d_reading": d_reading} if d_reading else {}
+    return suite.run(pairs, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -799,28 +789,29 @@ def cmd_transition(args):
     return 0
 
 
-def cmd_verify(args):
-    if args.suite not in SUITES:
-        print("unknown suite: %s (choose from %s)"
-              % (args.suite, ", ".join(SUITES)), file=sys.stderr)
-        return 2
+def _verify_usage(args):
+    """Why the suite cannot run on these options, or None.  It runs before
+    QPBW_HEIGHT fills in a height, which suites that read none ignore."""
+    suite = SUITES.get(args.suite)
+    if suite is None:
+        return "unknown suite: %s (choose from %s)" % (args.suite,
+                                                      ", ".join(SUITES))
     if args.type and args.type not in TYPE_NAMES:
-        print("unknown type: %s" % args.type, file=sys.stderr)
-        return 2
-    if args.d_reading not in fock.D_READINGS:
-        print("unknown d-reading: %s" % args.d_reading, file=sys.stderr)
-        return 2
-    if args.type == "A1" and args.suite in RANK2_SUITES:
-        print("suite %s needs a type of rank 2 or more: A1 has one reduced "
-              "word and no braid relation" % args.suite, file=sys.stderr)
-        return 2
-    if args.type not in (None, "A1") and args.suite == "sl2":
-        print("suite sl2 checks A1 only, not %s" % args.type,
-              file=sys.stderr)
-        return 2
+        return "unknown type: %s" % args.type
+    accepted, why = suite.accepts
+    if args.type and args.type not in accepted:
+        return why.format(suite=args.suite, type=args.type)
+    if args.height is not None and suite.height is None:
+        return "suite %s reads no --height" % args.suite
+    if args.d_reading and not suite.d_reading:
+        return "suite %s reads no --d-reading" % args.suite
+    return None
+
+
+def cmd_verify(args):
     report = run_suite(args.suite, type_name=args.type, height=args.height,
                        d_reading=args.d_reading)
-    if not report:
+    if SUITES[args.suite].vacuous(report, args.type):
         print("suite %s decides no case%s at height %s: nothing was checked"
               % (args.suite, " on %s" % args.type if args.type else "",
                  "default" if args.height is None else args.height),
@@ -864,8 +855,8 @@ def build_parser():
     v.add_argument("--type")
     v.add_argument("--height", type=int)
     v.add_argument("--format", choices=("text", "json"), default="text")
-    v.add_argument("--d-reading", choices=fock.D_READINGS, default="qi",
-                   dest="d_reading")
+    # absent means the suite's own reading, qi
+    v.add_argument("--d-reading", choices=fock.D_READINGS, dest="d_reading")
     return p
 
 
@@ -885,7 +876,8 @@ def _resolve_height(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    error = _resolve_height(args)
+    error = ((args.command == "verify" and _verify_usage(args))
+             or _resolve_height(args))
     if error:
         print(error, file=sys.stderr)
         return 2

@@ -43,7 +43,7 @@ def test_c3_pairing_orthogonality():
 
 def test_c4_pbw_and_transitions():
     t = time.time()
-    res = cli.suite_koy(types=("A2", "B2", "A3"), height=3, count_height=5)
+    res = cli.suite_koy(types=("A2", "B2", "A3"), height=3)
     res += cli.suite_transfer(types=("A2", "B2", "G2"), height=4)
     _report("C4 pbw/transitions", res, time.time() - t, 600)
 

@@ -155,6 +155,40 @@ def test_sl2_suite_rejects_types_other_than_a1(capsys):
     assert code == 0 and "0 failures" in out
 
 
+def test_braid_on_a3_draws_its_random_elements_from_a3(capsys):
+    # random elements come from the requested types of rank 2 or more
+    code, out, err = run(["verify", "braid", "--type", "A3"], capsys)
+    assert code == 0 and not err
+    assert out == "suite braid: 154 cases, 0 failures\n"
+    drawn = cli.suite_braid(types=("A3",), n_random=2)[-2:]
+    assert [r["check"] for r in drawn] == ["dThT/epsT A3 #0",
+                                           "dThT/epsT A3 #1"]
+
+
+def test_options_a_suite_does_not_read_exit_2(capsys):
+    unread = [("hopf", "--height", "0"), ("braid", "--height", "9")]
+    unread += [(suite, "--d-reading", "qi") for suite in
+               ("hopf", "braid", "pairing", "pbw-orth", "transfer", "decomp",
+                "sl2")]
+    for suite, option, value in unread:
+        for fmt in ("text", "json"):
+            code, out, err = run(["verify", suite, option, value,
+                                  "--format", fmt], capsys)
+            assert code == 2 and not out
+            assert err == "suite %s reads no %s\n" % (suite, option)
+    code, out, _ = run(["verify", "koy", "--type", "A2", "--height", "1",
+                        "--d-reading", "qi"], capsys)
+    assert code == 0 and out.endswith(" cases, 0 failures\n")
+
+
+def test_env_height_is_a_default_only_where_a_suite_reads_one(capsys,
+                                                              monkeypatch):
+    monkeypatch.setenv("QPBW_HEIGHT", "0")
+    code, out, err = run(["verify", "hopf", "--type", "A1"], capsys)
+    assert code == 0 and not err
+    assert out == "suite hopf: 121 cases, 0 failures\n"
+
+
 def test_env_height_not_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("QPBW_HEIGHT", "abc")
     code, out, err = run(["verify", "sl2"], capsys)

@@ -2,8 +2,9 @@
 name at every module that binds them; a refactor that drops one of the
 import sites it requires makes install() raise.  This checks the contract
 from the program's side: install succeeds, uninstall restores every
-patched name, and a traced `qpbw transition` call shows work in the layers
-the benchmark's transition workload declares."""
+patched name, a traced `qpbw transition` call shows work in the layers
+the benchmark's transition workload declares, and a traced conj1 run, called
+directly or through `qpbw verify`, shows work in `cli.suite`."""
 
 import importlib.util
 import sys
@@ -70,5 +71,27 @@ def test_traced_transition_shows_pairing_pbw_and_scalar_work(monkeypatch,
     capsys.readouterr()
     assert code == 0
     snap = t.snapshot()
-    for name in ("pairing.calls", "pbw.calls", "scalars.mul.calls"):
+    for name in ("pairing.calls", "pbw.calls", "scalars.mul.calls",
+                 "cli.suite.calls"):
         assert snap.get(name, 0) > 0, name
+
+
+def _traced(call):
+    t = _load_tracer().Tracer()
+    t.install()
+    try:
+        result = call()
+    finally:
+        t.uninstall()
+    return result, t.snapshot()
+
+
+def test_traced_suites_show_cli_work(capsys):
+    # the tracer patches module attributes; a suite reached through a
+    # reference taken at import time would read as idle
+    cases, snap = _traced(lambda: cli.suite_conj1(types=("A2",), height=1))
+    assert cases and snap.get("cli.suite.calls", 0) > 0
+    code, snap = _traced(lambda: cli.main(["verify", "conj1", "--type", "A2",
+                                           "--height", "1"]))
+    capsys.readouterr()
+    assert code == 0 and snap.get("cli.suite.calls", 0) > 0
