@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from .rootdata import CartanType
 from .scalars import Scalar, qfact
-from .uqcore import (UElement, _add_term, divided_e_power,
+from .uqcore import (UElement, _add_term, _trusted, divided_e_power,
                      divided_f_power)
 
 E_FAMILIES = ("edot", "ehat", "etilde")
@@ -168,7 +168,7 @@ def _apply(ct, kind, i, x: UElement, plus=False) -> UElement:
     for mono, c in x.terms.items():
         for m, v in _mono_image(ct, kind, i, mono, plus).terms.items():
             _add_term(acc, m, v * c)
-    out = UElement(ct, acc)
+    out = _trusted(UElement, ct, acc)
     return project_plus(out) if plus else out
 
 

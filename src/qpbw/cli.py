@@ -49,13 +49,17 @@ def _mono_elt(ct, mono):
 
 class _MonoCache:
     """Memoized per-monomial Hopf data; the normal-form monomials of short
-    generator words repeat massively across the corpus."""
+    generator words repeat massively across the corpus.  verdicts holds
+    whether each monomial decided so far satisfies all five axiom sides,
+    and fallbacks counts the cases checked word by word."""
 
     def __init__(self, ct):
         self.ct = ct
         self.cp = {}
         self.anti = {}
         self.anti_prod = {}
+        self.verdicts = {}
+        self.fallbacks = 0
 
     def coproduct(self, m):
         t = self.cp.get(m)
@@ -80,6 +84,24 @@ class _MonoCache:
         if s is None:
             s = self.anti[m] = _mono_elt(self.ct, m).antipode()
         return s
+
+    def passes(self, m):
+        """Whether the monomial m satisfies all five axiom sides."""
+        v = self.verdicts.get(m)
+        if v is None:
+            v = self.verdicts[m] = all(
+                lhs == rhs for _, lhs, rhs, _ in
+                _hopf_sides(self, _mono_elt(self.ct, m), self.coproduct(m)))
+        return v
+
+    def certifies(self, x, delta):
+        """Whether delta is sum c_m Delta(m) over the terms c_m m of x, with
+        each Delta(m) read from this cache."""
+        acc = {}
+        for m, c in x.terms.items():
+            for p, cp in self.coproduct(m).terms.items():
+                _add_term(acc, p, c * cp)
+        return acc == delta.terms
 
 
 def _coproduct_leg(cache, tensor, left):
@@ -131,8 +153,14 @@ def _hopf_sides(cache, x, delta):
 
 def _hopf_case(cache, label, x, delta):
     """The Hopf axioms on x; a failure names the first failed axiom and its
-    least differing term, with the coefficients of both sides."""
+    least differing term, with the coefficients of both sides.
+
+    A case whose monomials all pass and whose delta the cache certifies
+    passes at once (see suite_hopf); any other is checked side by side."""
     out = {"check": "hopf %s %s" % (cache.ct.name, label), "pass": True}
+    if all(cache.passes(m) for m in x.terms) and cache.certifies(x, delta):
+        return out
+    cache.fallbacks += 1
     for axiom, lhs, rhs, show in _hopf_sides(cache, x, delta):
         if lhs != rhs:
             key = min(k for k in lhs.keys() | rhs.keys()
@@ -155,7 +183,17 @@ def _generators(ct):
 
 def suite_hopf(types=("A2", "B2"), length=4):
     """Counit, coassociativity and antipode axioms on all generator words,
-    each checked as the pre-order walk over the words reaches it."""
+    each checked as the pre-order walk over the words reaches it.
+
+    The walk takes x = sum c_m m in normal form and Delta(x) as the product
+    of the generator coproducts along the word.  Each distinct monomial m
+    of the normal forms is decided once per call: all five sides on
+    (m, Delta(m)), memoized in the type's _MonoCache.  A word passes
+    without more work when each m of x passes and Delta(x) equals
+    sum c_m Delta(m) term by term (the certificate); the sides are linear
+    and exact, so both together imply the per-word check.  Any other word
+    is checked side by side on (x, Delta(x)), so every verdict and witness
+    is that of the per-word check."""
     cases = []
     for name in types:
         ct = CartanType(name)
@@ -756,7 +794,7 @@ def cmd_transition(args):
         print("words represent different Weyl group elements",
               file=sys.stderr)
         return 2
-    family = args.family or "hat_e"
+    family = args.family
     try:
         pbw.normalize_family(family)
     except ValueError as exc:

@@ -96,8 +96,16 @@ def pbw_monomial(ct: CartanType, family: str, word, n) -> UElement:
 
 
 def indices_of_weight(ct: CartanType, family: str, word, gamma):
-    """All exponent vectors n >= 0 with sum n_r beta_r = gamma, sorted."""
+    """All exponent vectors n >= 0 with sum n_r beta_r = gamma, sorted, as
+    a new list on each call."""
     roots = family_roots(ct, normalize_family(family), word)
+    return list(_exponent_vectors(ct, roots, tuple(gamma)))
+
+
+@lru_cache(maxsize=None)
+def _exponent_vectors(ct: CartanType, roots, gamma):
+    """The sorted exponent vectors of weight gamma over the roots, as a
+    tuple; enumerated once per (type, roots, weight)."""
     m = len(roots)
     out = []
 
@@ -114,8 +122,8 @@ def indices_of_weight(ct: CartanType, family: str, word, gamma):
                 acc + [k])
             k += 1
 
-    rec(0, tuple(gamma), [])
-    return sorted(out)
+    rec(0, gamma, [])
+    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)

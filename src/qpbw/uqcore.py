@@ -42,6 +42,18 @@ def _add_term(acc: dict, mono, coeff: Scalar):
         acc[mono] = s
 
 
+def _trusted(cls, ct, terms: dict):
+    """An element of cls over terms as they are, without the copy and the
+    zero filter of the public constructors.  For the kernels here and in
+    braid, whose dict is new and holds no zero coefficient: built with
+    _add_term, or mapped from the terms of another element by a one-to-one
+    key map and a nonzero factor."""
+    x = object.__new__(cls)
+    x.ct = ct
+    x.terms = terms
+    return x
+
+
 def _fword_weight(ct: CartanType, word):
     v = [0] * ct.rank
     for i in word:
@@ -97,18 +109,20 @@ class UElement:
         acc = dict(self.terms)
         for m, c in other.terms.items():
             _add_term(acc, m, c)
-        return UElement(self.ct, acc)
+        return _trusted(UElement, self.ct, acc)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return UElement(self.ct, {m: -c for m, c in self.terms.items()})
+        return _trusted(UElement, self.ct,
+                        {m: -c for m, c in self.terms.items()})
 
     def scale(self, s: Scalar):
         if s.is_zero():
             return UElement.zero(self.ct)
-        return UElement(self.ct, {m: c * s for m, c in self.terms.items()})
+        return _trusted(UElement, self.ct,
+                        {m: c * s for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
@@ -120,7 +134,7 @@ class UElement:
             prod = self._mul_mono(m2)
             for m, c in prod.items():
                 _add_term(acc, m, c * c2)
-        return UElement(self.ct, acc)
+        return _trusted(UElement, self.ct, acc)
 
     def mul_plus(self, other):
         """The terms of self * other with an empty f-word, computed without
@@ -133,7 +147,7 @@ class UElement:
         for m2, c2 in other.terms.items():
             for m, c in _rmul_mono(ct, start, m2, plus=True).items():
                 _add_term(acc, m, c * c2)
-        return UElement(ct, acc)
+        return _trusted(UElement, ct, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -181,7 +195,7 @@ class UElement:
                 t = t * _DELTA_CACHE(ct, "e", j)
             for p, cp in t.terms.items():
                 _add_term(acc, p, cp * c)
-        return UTensor(ct, acc)
+        return _trusted(UTensor, ct, acc)
 
     def antipode(self):
         return self._anti_map(_S_GEN)
@@ -200,15 +214,16 @@ class UElement:
                 x = x * gen_images(ct, "f", j)
             for m, cm in x.terms.items():
                 _add_term(acc, m, cm * c)
-        return UElement(ct, acc)
+        return _trusted(UElement, ct, acc)
 
     def psi(self):
         """The Q(q)-linear anti-involution e_i <-> f_i fixing every k.  It
         sends f_F k e_E to f_{rev E} k e_{rev F}, which is again in normal
         form, and it respects the k- and e-f commutation rules, so it acts
         monomial by monomial on the free algebra."""
-        return UElement(self.ct, {(E[::-1], kappa, F[::-1]): c
-                                  for (F, kappa, E), c in self.terms.items()})
+        return _trusted(UElement, self.ct,
+                        {(E[::-1], kappa, F[::-1]): c
+                         for (F, kappa, E), c in self.terms.items()})
 
     def a_involution(self):
         """Ring involution q -> q^{-1}, k -> k^{-1}, e_i -> -k_i^{-1} e_i,
@@ -225,7 +240,7 @@ class UElement:
             cbar = c.bar()
             for m, cm in x.terms.items():
                 _add_term(acc, m, cm * cbar)
-        return UElement(ct, acc)
+        return _trusted(UElement, ct, acc)
 
     # -- display --------------------------------------------------------
     def __repr__(self):
@@ -409,13 +424,13 @@ class UTensor:
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
                 _add_term(terms, (m1, m2), c1 * c2)
-        return UTensor(ct, terms)
+        return _trusted(UTensor, ct, terms)
 
     def __add__(self, other):
         acc = dict(self.terms)
         for p, c in other.terms.items():
             _add_term(acc, p, c)
-        return UTensor(self.ct, acc)
+        return _trusted(UTensor, self.ct, acc)
 
     def __sub__(self, other):
         return self + other.scale(Scalar.from_int(-1))
@@ -434,7 +449,7 @@ class UTensor:
                     cca = cc * ca
                     for mb, cb in right.items():
                         _add_term(acc, (ma, mb), cca * cb)
-        return UTensor(ct, acc)
+        return _trusted(UTensor, ct, acc)
 
     def __eq__(self, other):
         return isinstance(other, UTensor) and self.ct is other.ct \

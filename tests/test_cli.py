@@ -7,8 +7,8 @@ import pytest
 
 from qpbw import braid, cli, coordring, fock, pbw, uqcore
 from qpbw.rootdata import CartanType, all_reduced_words
-from qpbw.scalars import ONE, Scalar
-from qpbw.uqcore import UElement, UTensor
+from qpbw.scalars import ONE, ZERO, Scalar
+from qpbw.uqcore import UElement, UTensor, _add_term, mono_str
 
 
 def run(argv, capsys):
@@ -65,6 +65,15 @@ def test_transition_bad_inputs(capsys):
         code, _, err = run(argv, capsys)
         assert code == 2
         assert err  # diagnostics go to stderr
+
+
+def test_transition_unknown_family_exits_2(capsys):
+    # an empty --family is an unknown family, not the default one
+    for family in ("", "nonsense"):
+        code, out, err = run(["transition", "--type", "A2", "--from",
+                              "1,2,1", "--to", "2,1,2", "--height", "1",
+                              "--family", family], capsys)
+        assert (code, out, err) == (2, "", "unknown family %r\n" % family)
 
 
 def test_verify_pass(capsys):
@@ -533,3 +542,150 @@ def test_counit_leg_reads_the_counit_off_each_key():
                 assert cli._counit_leg(ct, delta, left).terms == \
                     UElement(ct, ref).terms, (name, left)
                 assert cli._counit_leg(ct, delta, left).terms == x.terms
+
+
+def _hopf_reference(name, length):
+    """The Hopf cases of suite_hopf, computed word by word: Delta(x) is the
+    product of the generator coproducts along the word, and all five sides
+    are taken on (x, Delta(x)) from uqcore's counit, coproduct and antipode
+    of each tensor leg, with the suite's witness rule."""
+    ct = CartanType(name)
+    gens = [("%s%d" % (kind, i + 1), make(ct, i))
+            for kind, make in (("e", UElement.e), ("f", UElement.f),
+                               ("k", UElement.k_i))
+            for i in range(ct.rank)]
+    cps, antis = {}, {}
+
+    def mono(m):
+        return UElement(ct, {m: ONE})
+
+    def cp(m):
+        if m not in cps:
+            cps[m] = mono(m).coproduct()
+        return cps[m]
+
+    def anti(m):
+        if m not in antis:
+            antis[m] = mono(m).antipode()
+        return antis[m]
+
+    def case(label, x, delta):
+        counit = ({}, {})
+        coassoc = ({}, {})
+        convolution = ({}, {})
+        for (a, b), c in delta.terms.items():
+            _add_term(counit[0], b, c * mono(a).counit())
+            _add_term(counit[1], a, c * mono(b).counit())
+            for (m1, m2), c2 in cp(a).terms.items():
+                _add_term(coassoc[0], (m1, m2, b), c * c2)
+            for (m1, m2), c2 in cp(b).terms.items():
+                _add_term(coassoc[1], (a, m1, m2), c * c2)
+            for side, prod in enumerate((anti(a) * mono(b),
+                                         mono(a) * anti(b))):
+                for m, cm in prod.terms.items():
+                    _add_term(convolution[side], m, c * cm)
+        unit = UElement.one(ct).scale(x.counit()).terms
+
+        def show3(key):
+            return " (x) ".join(mono_str(m) for m in key)
+
+        out = {"check": "hopf %s %s" % (name, label), "pass": True}
+        for axiom, lhs, rhs, show in (
+                ("counit left", counit[0], x.terms, mono_str),
+                ("counit right", counit[1], x.terms, mono_str),
+                ("coassociativity", coassoc[0], coassoc[1], show3),
+                ("antipode left", convolution[0], unit, mono_str),
+                ("antipode right", convolution[1], unit, mono_str)):
+            keys = [k for k in lhs.keys() | rhs.keys()
+                    if lhs.get(k, ZERO) != rhs.get(k, ZERO)]
+            if keys:
+                key = min(keys)
+                out["pass"] = False
+                out["witness"] = {"axiom": axiom, "term": show(key),
+                                  "lhs": str(lhs.get(key, ZERO)),
+                                  "rhs": str(rhs.get(key, ZERO))}
+                break
+        return out
+
+    cases = []
+    words = [("", UElement.one(ct), UTensor.one(ct), 0)]
+    while words:    # a stack, so the words come in the suite's pre-order
+        label, x, delta, depth = words.pop()
+        cases.append(case(label or "1", x, delta))
+        if depth < length:
+            words.extend((label + "." + tag if label else tag, x * g,
+                          delta * g.coproduct(), depth + 1)
+                         for tag, g in reversed(gens))
+    return cases
+
+
+def _wrong_antipode(monkeypatch):
+    real = uqcore._S_GEN
+    monkeypatch.setattr(uqcore, "_S_GEN", lambda ct, kind, j: (
+        -real(ct, kind, j) if kind == "e" else real(ct, kind, j)))
+
+
+def _extra_coproduct_term(monkeypatch):
+    monkeypatch.setitem(uqcore._delta_cache, ("A2", "e", 0), UTensor(
+        CartanType("A2"), {(_E1, _ONE): ONE, (_K1, _E1): ONE + ONE}))
+
+
+def _no_commutators(monkeypatch):
+    """Monomial products that drop the e-f commutator terms, the ones with
+    a shorter f- and e-word.  Normal-ordered monomials keep their
+    coproducts; words with an e-letter before an f-letter do not."""
+    real = uqcore._mono_product
+
+    def product(ct, m1, m2):
+        full = len(m1[0]) + len(m1[2]) + len(m2[0]) + len(m2[2])
+        return {m: c for m, c in real(ct, m1, m2).items()
+                if len(m[0]) + len(m[2]) == full}
+
+    monkeypatch.setattr(uqcore, "_mono_product", product)
+
+
+def _record_caches(monkeypatch):
+    caches = []
+    real = cli._hopf_case
+
+    def record(cache, label, x, delta):
+        if cache not in caches:
+            caches.append(cache)
+        return real(cache, label, x, delta)
+
+    monkeypatch.setattr(cli, "_hopf_case", record)
+    return caches
+
+
+@pytest.mark.parametrize("corrupt", [
+    None, _wrong_antipode, _extra_coproduct_term, _no_commutators,
+], ids=["clean", "wrong-antipode", "extra-coproduct-term", "no-commutators"])
+def test_hopf_suite_matches_the_per_word_reference(monkeypatch, corrupt):
+    if corrupt:
+        corrupt(monkeypatch)
+    caches = _record_caches(monkeypatch)
+    passed = []
+    for name, length in (("A2", 3), ("B2", 2)):
+        got = cli.suite_hopf((name,), length)
+        assert got == _hopf_reference(name, length), name
+        passed += [r["pass"] for r in got]
+    assert all(passed) == (corrupt is None)
+    if corrupt is None:
+        assert [c.fallbacks for c in caches] == [0, 0]
+    if corrupt is _no_commutators:
+        # every monomial passes, so the certificate alone sends the
+        # corrupted words to the per-word check
+        assert all(all(c.verdicts.values()) for c in caches)
+        bad = [r for r in cli.suite_hopf(("A2",), 3) if not r["pass"]]
+        assert len(bad) == 34
+        assert bad[0]["check"] == "hopf A2 e1.e1.f1"
+        assert bad[0]["witness"]["axiom"] == "counit left"
+
+
+def test_hopf_default_run_decides_each_monomial_once(monkeypatch):
+    caches = _record_caches(monkeypatch)
+    res = cli.run_suite("hopf")
+    assert len(res) == 3110 and all(r["pass"] for r in res)
+    assert [(c.ct.name, len(c.verdicts), all(c.verdicts.values()),
+             c.fallbacks) for c in caches] \
+        == [("A2", 352, True, 0), ("B2", 352, True, 0)]

@@ -1,6 +1,7 @@
 """PBW monomials, weight blocks, transition matrices, e-multiplication."""
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -50,6 +51,30 @@ def test_indices_of_weight_counts():
                     idx = pbw.indices_of_weight(ct, "ehat", word, ga)
                     assert len(idx) == kostant_count(ct, ga)
                     assert idx == sorted(idx)
+
+
+def _enumerate_exponents(ct, roots, gamma):
+    """Every n >= 0 with sum n_r beta_r = gamma, by a bounded product."""
+    bounds = [min(g // b for g, b in zip(gamma, beta) if b) for beta in roots]
+    return [n for n in itertools.product(*(range(b + 1) for b in bounds))
+            if all(sum(k * beta[t] for k, beta in zip(n, roots)) == gamma[t]
+                   for t in range(ct.rank))]
+
+
+def test_indices_of_weight_memo_matches_a_fresh_enumeration():
+    for name in ("A2", "B2", "G2"):
+        ct = CartanType(name)
+        for word in all_reduced_words(ct, ct.longest_word()):
+            for family in ("ehat", "etilde"):
+                roots = pbw.family_roots(ct, family, word)
+                for h in range(1, 6):
+                    for ga in weights_of_height(ct, h):
+                        first = pbw.indices_of_weight(ct, family, word, ga)
+                        assert first == _enumerate_exponents(ct, roots, ga)
+                        first.append("junk")
+                        again = pbw.indices_of_weight(ct, family, word,
+                                                      list(ga))
+                        assert again == first[:-1] and again is not first
 
 
 def test_transition_identity_same_word():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qpbw import uqcore
+from qpbw import braid, uqcore
 from qpbw.rootdata import CartanType
 from qpbw.scalars import Scalar
 from qpbw.scalars import qint
@@ -118,6 +118,30 @@ def test_antipode_square_is_k_conjugation():
         k = UElement.k(ct, tuple(-c for c in two_rho))
         kinv = UElement.k(ct, two_rho)
         assert ss == k * x * kinv
+
+
+def test_no_zero_coefficient_is_stored():
+    # the kernels build their term dicts without zeros and hand them to
+    # UElement/UTensor unfiltered; differences and commutators cancel
+    rng = random.Random(17)
+    for name in ("A2", "B2"):
+        ct = CartanType(name)
+        for _ in range(6):
+            x, y = _random_uelement(ct, rng), _random_uelement(ct, rng)
+            dx = x.coproduct()
+            out = [x * y, y * x, x * y + (-(y * x)), x - x, x + y - y,
+                   x.scale(Scalar.q_power(1)), (x * y).coproduct(),
+                   dx * y.coproduct(), dx + dx,
+                   UTensor.of(x, -x) + UTensor.of(x, x),
+                   x.antipode(), x.antipode_inv(), x.a_involution(),
+                   (x * y).antipode() - y.antipode() * x.antipode()]
+            out += [t(ct, i, x, plus=plus)
+                    for t in (braid.t_dot, braid.t_hat, braid.t_dot_inv,
+                              braid.t_hat_inv)
+                    for i in range(ct.rank) for plus in (False, True)]
+            for z in out:
+                assert not any(c.is_zero() for c in z.terms.values()), z
+            assert (x - x).terms == {}
 
 
 def test_antipode_inverse_roundtrip():
