@@ -50,14 +50,30 @@ so
 
 with the same representatives the f-side chains would produce.  On pure
 words psi reverses the word and swaps e and f.
+
+Full images (plus=False: the braid relations, validate_inverses and the
+inverse tables) are computed over Z[q, q^-1].  The operators preserve the
+Z[q, q^-1]-form of U, and in the basis ê_j = (q_j - q_j^{-1}) e_j the
+commutator ê_j f_j - f_j ê_j = k_j - k_j^{-1} is integral
+(uqcore.int_mul).  Each generator image is stored once as integer
+numerators in the ê basis times one Scalar factor; a monomial image is the
+integer product of those numerators, its factor the product of theirs.
+T(x) for x = sum_m c_m m puts the c_m factor(m) over one denominator L,
+sums the integer numerators, and makes each output coefficient with one
+Scalar reduction by 1/L times the ê -> e factor of its e-word, which is
+folded into 1/L first.  The terms come out in the order of the Scalar
+products, so a failing check names the same witness.  Root-vector chains
+(plus=True) keep UElement.mul_plus: their elements are small, and the
+bookkeeping of the factors costs more than it saves there.
 """
 
 from __future__ import annotations
 
 from .rootdata import CartanType
-from .scalars import Scalar, qfact
-from .uqcore import (UElement, _add_term, _trusted, divided_e_power,
-                     divided_f_power)
+from .scalars import (ONE, Scalar, _pmul, common_denominator, laurent_product,
+                      qfact)
+from .uqcore import (UElement, _add_int_term, _add_term, _trusted,
+                     divided_e_power, divided_f_power, int_mul)
 
 E_FAMILIES = ("edot", "ehat", "etilde")
 F_FAMILIES = ("fdot", "fhat", "ftilde")
@@ -132,31 +148,100 @@ def _gen_image(ct, kind, i, side, j):
 
 
 # Images of monomials f_F k_kappa e_E under one operator, for the life of
-# the process: {(type, kind, i, plus, monomial): UElement}.
+# the process.  plus=True: {(type, kind, i, monomial): UElement}.
+# plus=False: {(type, kind, i, monomial): (nums, factor)}, the image as an
+# integral term dict in the ê basis (uqcore.int_mul) times a Scalar.
 _images = {}
+_int_images = {}
+# {(type, kind): {(i, side, j): (nums, factor)}}, the generator images of
+# _gen_table in the same form
+_int_tables = {}
+# {(type, e-word): (q_l - q_l^-1) over its letters}, one shared Scalar per
+# multiset of letters, kept in _delta_counts by letter counts
+_deltas = {}
+_delta_counts = {}
 
 
-def _mono_image(ct, kind, i, mono, plus):
-    """The operator's image of one monomial: the image of the monomial
-    without its last letter (f-word, then k-part, then e-word) times the
-    image of that letter."""
-    key = (ct.name, kind, i, plus, mono)
+def _delta(ct, E):
+    """The Scalar prod_{l in E} (q_l - q_l^{-1}), which takes ê_E to e_E."""
+    d = _deltas.get((ct.name, E))
+    if d is None:
+        counts = tuple(E.count(l) for l in range(ct.rank))
+        d = _delta_counts.get((ct.name, counts))
+        if d is None:
+            p = {0: 1}
+            for l, n in enumerate(counts):
+                dl = ct.qi(l)
+                for _ in range(n):
+                    p = _pmul(p, {dl: 1, -dl: -1})
+            d = _delta_counts[(ct.name, counts)] = laurent_product(p, ())
+        _deltas[(ct.name, E)] = d
+    return d
+
+
+def _int_table(ct, kind):
+    """The generator images of one operator kind over one denominator each:
+    (nums, factor) with nums integral in the ê basis, so that the image is
+    sum_m nums[m] * factor * f_F k ê_E."""
+    key = (ct.name, kind)
+    tab = _int_tables.get(key)
+    if tab is None:
+        tab = {}
+        for g, y in _gen_table(ct, kind).items():
+            monos = list(y.terms)
+            nums, factor = common_denominator(
+                [y.terms[m] / _delta(ct, m[2]) for m in monos])
+            tab[g] = (dict(zip(monos, nums)), factor)
+        _int_tables[key] = tab
+    return tab
+
+
+def _int_image(ct, kind, i, mono):
+    """The operator's image of one monomial as (nums, factor): the image of
+    the monomial without its last letter (f-word, then k-part, then e-word)
+    times the image of that letter, the factors multiplied."""
+    key = (ct.name, kind, i, mono)
+    y = _int_images.get(key)
+    if y is not None:
+        return y
+    F, kappa, E = mono
+    zero = ct.zero()
+    if E:
+        x = _int_image(ct, kind, i, (F, kappa, E[:-1]))
+        g = _int_table(ct, kind)[(i, "e", E[-1])]
+    elif kappa != zero:
+        x = _int_image(ct, kind, i, (F, zero, ()))
+        g = ({((), ct.reflect_q(i, kappa), ()): {0: 1}}, ONE)
+    elif F:
+        x = _int_image(ct, kind, i, (F[:-1], zero, ()))
+        g = _int_table(ct, kind)[(i, "f", F[-1])]
+    else:
+        y = _int_images[key] = ({mono: {0: 1}}, ONE)
+        return y
+    y = _int_images[key] = (int_mul(ct, x[0], g[0]), x[1] * g[1])
+    return y
+
+
+def _mono_image(ct, kind, i, mono):
+    """The image of one monomial with its terms outside U^+ dropped (see
+    the module docstring): the image of the monomial without its last
+    letter times the image of that letter, by UElement.mul_plus."""
+    key = (ct.name, kind, i, mono)
     y = _images.get(key)
     if y is not None:
         return y
     F, kappa, E = mono
-    times = UElement.mul_plus if plus else UElement.__mul__
     tab = _gen_table(ct, kind)
     zero = ct.zero()
     if E:
-        y = times(_mono_image(ct, kind, i, (F, kappa, E[:-1]), plus),
-                  tab[(i, "e", E[-1])])
+        y = _mono_image(ct, kind, i, (F, kappa, E[:-1])).mul_plus(
+            tab[(i, "e", E[-1])])
     elif kappa != zero:
-        y = times(_mono_image(ct, kind, i, (F, zero, ()), plus),
-                  UElement.k(ct, ct.reflect_q(i, kappa)))
+        y = _mono_image(ct, kind, i, (F, zero, ())).mul_plus(
+            UElement.k(ct, ct.reflect_q(i, kappa)))
     elif F:
-        y = times(_mono_image(ct, kind, i, (F[:-1], zero, ()), plus),
-                  tab[(i, "f", F[-1])])
+        y = _mono_image(ct, kind, i, (F[:-1], zero, ())).mul_plus(
+            tab[(i, "f", F[-1])])
     else:
         y = UElement.one(ct)
     _images[key] = y
@@ -164,12 +249,43 @@ def _mono_image(ct, kind, i, mono, plus):
 
 
 def _apply(ct, kind, i, x: UElement, plus=False) -> UElement:
-    acc = {}
-    for mono, c in x.terms.items():
-        for m, v in _mono_image(ct, kind, i, mono, plus).terms.items():
-            _add_term(acc, m, v * c)
-    out = _trusted(UElement, ct, acc)
-    return project_plus(out) if plus else out
+    if plus:
+        acc = {}
+        for mono, c in x.terms.items():
+            for m, v in _mono_image(ct, kind, i, mono).terms.items():
+                _add_term(acc, m, v * c)
+        return project_plus(_trusted(UElement, ct, acc))
+    if not x.terms:
+        return UElement.zero(ct)
+    # sum_m c_m factor(m) nums(m) over one denominator, in integers; each
+    # output coefficient is then one reduction of its numerator times
+    # 1/L delta(E), the ê -> e factor folded into 1/L first
+    if len(x.terms) == 1:
+        (mono, c), = x.terms.items()
+        total, scale = _int_image(ct, kind, i, mono)
+        scale = scale * c
+    else:
+        images, scales = [], []
+        for mono, c in x.terms.items():
+            nums, factor = _int_image(ct, kind, i, mono)
+            images.append(nums)
+            scales.append(factor * c)
+        cs, scale = common_denominator(scales)
+        total = {}
+        for a, nums in zip(cs, images):
+            for m, p in nums.items():
+                _add_int_term(total, m, a, p)
+        total = {m: {e: v for e, v in p.items() if v}
+                 for m, p in total.items()}
+    folds = {}  # 1/L delta(E), one per shared delta Scalar
+    out = {}
+    for m, p in total.items():
+        d = _delta(ct, m[2])
+        fold = folds.get(id(d))
+        if fold is None:
+            fold = folds[id(d)] = scale * d
+        out[m] = laurent_product(p, (fold,))
+    return _trusted(UElement, ct, out)
 
 
 # With plus=True each operator returns project_plus of its image, computed
@@ -212,6 +328,8 @@ def validate_inverses(ct: CartanType):
     tables as they are now."""
     from .pairing import eq_mod_serre
     _images.clear()
+    _int_images.clear()
+    _int_tables.clear()
     for i in range(ct.rank):
         for j in range(ct.rank):
             for side, gen in (("e", UElement.e(ct, j)),
@@ -229,8 +347,8 @@ def project_plus(x: UElement) -> UElement:
     """Component of x in U^+ of the triangular normal form; agrees with x
     modulo the Serre ideal whenever x is known to lie in U^+."""
     zero = x.ct.zero()
-    return UElement(x.ct, {m: c for m, c in x.terms.items()
-                           if not m[0] and m[1] == zero})
+    return _trusted(UElement, x.ct, {m: c for m, c in x.terms.items()
+                                     if not m[0] and m[1] == zero})
 
 
 _root_vectors = {}

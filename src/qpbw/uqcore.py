@@ -11,6 +11,13 @@ Equality of UElement values is equality in this free (pre-Serre) algebra;
 equality modulo the Serre ideals is decided elsewhere via the Drinfeld
 pairing.
 
+The integral form: in the basis ê_i = (q_i - q_i^{-1}) e_i the commutator
+reads ê_i f_i - f_i ê_i = k_i - k_i^{-1}, so products of monomials
+f_F k ê_E with coefficients in Z[q, q^-1] need no division.  int_mul
+multiplies term dicts of that form, with Laurent exponent maps for
+coefficients and no Scalar in its loops; braid computes full operator
+images with it.
+
 Hopf structure:
     Delta(e_i) = e_i x 1 + k_i x e_i        eps(e_i) = 0
     Delta(f_i) = f_i x k_i^{-1} + 1 x f_i   eps(f_i) = 0
@@ -28,7 +35,7 @@ process meets.
 from __future__ import annotations
 
 from .rootdata import CartanType
-from .scalars import ONE, Scalar, qdiff_inverse, qfact
+from .scalars import ONE, Scalar, _pmul, _pmul_into, qdiff_inverse, qfact
 
 Mono = tuple  # (fword, kappa, eword)
 
@@ -345,6 +352,78 @@ def _rmul_f(ct: CartanType, terms: dict, j: int, plus=False) -> dict:
                 _add_term(acc, (F, km, E2), -(cd * Scalar.q_power(s)))
             s += row[i]
     return acc
+
+
+# -- the integral form (see the module docstring) -------------------------
+#
+# Integral term dicts map (F, kappa, E), with E read as the ê-word ê_E, to
+# Laurent exponent maps; the k- and f-rules are those of _rmul_k and
+# _rmul_f without the division.  A coefficient map may hold zero entries,
+# but none is zero as a whole: a sum that cancels is dropped, as _add_term
+# drops it, so the terms come out in the order of the Scalar kernels.  The
+# maps of an input dict are shared, never mutated.
+
+def _add_int_term(acc: dict, mono, p1, p2):
+    """acc[mono] += p1 * p2 for Laurent exponent maps p1, p2 != 0."""
+    cur = acc.get(mono)
+    if cur is None:
+        acc[mono] = _pmul(p1, p2)
+        return
+    _pmul_into(cur, p1, p2)
+    if not any(cur.values()):
+        del acc[mono]
+
+
+def _rmul_int_k(ct: CartanType, terms: dict, gamma) -> dict:
+    cost = [sum(g * b for g, b in zip(gamma, row)) for row in ct.form]
+    out = {}
+    for (F, kappa, E), c in terms.items():
+        shift = 0
+        for l in E:
+            shift -= cost[l]
+        kap2 = tuple(a + b for a, b in zip(kappa, gamma))
+        out[(F, kap2, E)] = {e + shift: v for e, v in c.items()} \
+            if shift else c
+    return out
+
+
+def _rmul_int_f(ct: CartanType, terms: dict, j: int) -> dict:
+    alpha_j = ct.alpha(j)
+    row = ct.form[j]
+    acc = {}
+    for (F, kappa, E), c in terms.items():
+        _add_int_term(acc, (F + (j,), kappa, E), c,
+                      {-sum(k * b for k, b in zip(kappa, row)): 1})
+        if j not in E:
+            continue
+        # one commutator pair per ê_j letter, shifted by s = (alpha_j,
+        # weight of the letters before it)
+        kp = tuple(a + b for a, b in zip(kappa, alpha_j))
+        km = tuple(a - b for a, b in zip(kappa, alpha_j))
+        s = 0
+        for p, i in enumerate(E):
+            if i == j:
+                E2 = E[:p] + E[p + 1:]
+                _add_int_term(acc, (F, kp, E2), c, {-s: 1})
+                _add_int_term(acc, (F, km, E2), c, {s: -1})
+            s += row[i]
+    return acc
+
+
+def int_mul(ct: CartanType, left: dict, right: dict) -> dict:
+    """The product of two integral term dicts (ê basis), with the zero
+    entries of each coefficient map removed."""
+    acc = {}
+    for (F, kappa, E), c2 in right.items():
+        cur = left
+        for j in F:
+            cur = _rmul_int_f(ct, cur, j)
+        if any(kappa):
+            cur = _rmul_int_k(ct, cur, kappa)
+        for (F1, k1, E1), c in cur.items():
+            _add_int_term(acc, (F1, k1, E1 + E), c, c2)
+    return {m: p if all(p.values()) else {e: v for e, v in p.items() if v}
+            for m, p in acc.items()}
 
 
 # -- generator images for the (inverse) antipode -------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qpbw import braid
+from qpbw import braid, cli
 from qpbw.pairing import eq_mod_serre
 from qpbw.rootdata import CartanType, all_reduced_words
 from qpbw.scalars import Scalar
@@ -258,9 +258,15 @@ def _apply_letter_by_letter(ct, kind, i, x, plus):
 
 def test_memoized_images_match_letter_by_letter_products():
     rng = random.Random(17)
-    for name in ("A2", "B2", "G2"):
+    for name in ("A2", "B2", "G2", "A3"):
         ct = CartanType(name)
-        for x in _mixed_elements(ct, rng, 3):
+        xs = _mixed_elements(ct, rng, 3)
+        # the zero element and a one-term element, which takes the path
+        # without a common denominator
+        xs += [UElement.zero(ct),
+               UElement.e_word(ct, (0, ct.rank - 1, 0)).scale(
+                   Scalar.q_power(-1) + Scalar.from_int(3))]
+        for x in xs:
             i = rng.randrange(ct.rank)
             for kind in ("dot", "hat", "dot_inv", "hat_inv"):
                 for plus in (False, True):
@@ -268,19 +274,61 @@ def test_memoized_images_match_letter_by_letter_products():
                         == _apply_letter_by_letter(ct, kind, i, x, plus)
 
 
+def test_integral_images_match_every_step_of_the_g2_braid_chains():
+    # the 24 generator chains of the G2 braid relations, each step against
+    # the Scalar reference; the terms come out in the same order, so a
+    # failing case names the same witness
+    ct = CartanType("G2")
+    steps = 0
+    for word in cli._braid_word_pair(ct, 0, 1):
+        for kind in ("dot", "hat"):
+            for _, x in cli._generators(ct):
+                for i in reversed(word):
+                    got = braid._apply(ct, kind, i, x)
+                    want = _apply_letter_by_letter(ct, kind, i, x, False)
+                    assert got == want and list(got.terms) == list(
+                        want.terms), (word, kind, i, x)
+                    x = got
+                    steps += 1
+    assert steps == 24 * 6
+
+
 def test_second_apply_reads_the_memo(monkeypatch):
     ct = CartanType("B2")
     x = (UElement.f_word(ct, (1, 0)) * UElement.k_i(ct, 0)
          * UElement.e_word(ct, (0, 1, 1))
          + UElement.e_word(ct, (1, 0)).scale(Scalar.q_power(2)))
-    braid._images.clear()
+    braid._int_images.clear()
     first = braid._apply(ct, "hat", 1, x)
-    assert all((ct.name, "hat", 1, False, m) in braid._images
-               for m in x.terms)
+    assert all((ct.name, "hat", 1, m) in braid._int_images for m in x.terms)
 
     def no_table(ct, kind):
         raise AssertionError("image rebuilt instead of read from the memo")
 
     # a memo hit needs no generator image
     monkeypatch.setattr(braid, "_gen_table", no_table)
+    monkeypatch.setattr(braid, "_int_table", no_table)
     assert braid._apply(ct, "hat", 1, x) == first
+
+
+def test_restored_table_entry_is_not_shadowed_by_derived_tables():
+    ct = CartanType("G2")
+    braid.validate_inverses(ct)
+    tab = braid._gen_table(ct, "dot")
+    key = (0, "e", 1)
+    saved = tab[key]
+    tab[key] = saved.scale(Scalar.q_power(1))
+    try:
+        with pytest.raises(ValueError, match=r"T_dot.*e_2.*i=1, j=2"):
+            braid.validate_inverses(ct)
+        cases = cli.suite_braid(types=("G2",), n_random=0)
+        failed = [c for c in cases if not c["pass"]]
+        assert len(failed) == 4
+        assert failed[0] == {
+            "check": "braid G2 dot 1,2,1,2,1,2 on e1", "pass": False,
+            "witness": {"coord": "f1*k[1,0]", "diff": "-q^3"}}
+    finally:
+        tab[key] = saved
+    braid.validate_inverses(ct)
+    cases = cli.suite_braid(types=("G2",), n_random=0)
+    assert len(cases) == 12 and all(c["pass"] for c in cases)

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -689,3 +693,14 @@ def test_hopf_default_run_decides_each_monomial_once(monkeypatch):
     assert [(c.ct.name, len(c.verdicts), all(c.verdicts.values()),
              c.fallbacks) for c in caches] \
         == [("A2", 352, True, 0), ("B2", 352, True, 0)]
+
+
+def test_python_dash_m_runs_from_a_checkout():
+    # python -m qpbw works with the sources on PYTHONPATH, uninstalled
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "qpbw", "verify", "sl2"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "suite sl2: 13 cases, 0 failures"

@@ -7,7 +7,7 @@ import pytest
 from qpbw import braid, uqcore
 from qpbw.rootdata import CartanType
 from qpbw.scalars import Scalar
-from qpbw.scalars import qint
+from qpbw.scalars import common_denominator, laurent_product, qint
 from qpbw.uqcore import UElement, UTensor, divided_e_power
 
 ONE = Scalar.from_int(1)
@@ -284,6 +284,66 @@ def test_rmul_k_matches_reference(name):
         gamma = tuple(rng.randint(-2, 2) for _ in range(ct.rank))
         assert uqcore._rmul_k(ct, terms, gamma) \
             == _ref_rmul_k(ct, terms, gamma)
+
+
+# -- the integral kernels, read back from the ê basis ----------------------
+
+def _delta_word(ct, E):
+    """prod_{l in E} (q_l - q_l^{-1}): e_E = ê_E / _delta_word(E)."""
+    d = ONE
+    for l in E:
+        d = d * (Scalar.q_power(ct.qi(l)) - Scalar.q_power(-ct.qi(l)))
+    return d
+
+
+def _to_hat(ct, terms):
+    """Integral ê-basis numerators of a Scalar term dict, and 1/L."""
+    monos = list(terms)
+    nums, inv = common_denominator([terms[m] / _delta_word(ct, m[2])
+                                    for m in monos])
+    return dict(zip(monos, nums)), inv
+
+
+def _from_hat(ct, terms, inv):
+    out = {}
+    for m, p in terms.items():
+        p = {e: v for e, v in p.items() if v}
+        assert p, "a coefficient that cancelled was kept"
+        out[m] = laurent_product(p, (inv, _delta_word(ct, m[2])))
+    return out
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B2", "G2"])
+def test_integral_rmul_f_matches_reference(name):
+    rng = random.Random(31)
+    ct = CartanType(name)
+    for _ in range(40):
+        terms = {_random_mono(ct, rng, 4): _random_coeff(rng)
+                 for _ in range(rng.randint(1, 4))}
+        j = rng.randrange(ct.rank)
+        nums, inv = _to_hat(ct, terms)
+        assert _from_hat(ct, uqcore._rmul_int_f(ct, nums, j), inv) \
+            == _ref_rmul_f(ct, terms, j)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B2", "G2"])
+def test_int_mul_matches_reference(name):
+    rng = random.Random(43)
+    ct = CartanType(name)
+    for _ in range(20):
+        left, right = ({_random_mono(ct, rng, 3): _random_coeff(rng)
+                        for _ in range(rng.randint(1, 3))}
+                       for _ in range(2))
+        want = {}
+        for m2, c2 in right.items():
+            for m, c in _ref_rmul_mono(ct, left, m2).items():
+                uqcore._add_term(want, m, c * c2)
+        (lnums, linv), (rnums, rinv) = _to_hat(ct, left), _to_hat(ct, right)
+        got = uqcore.int_mul(ct, lnums, rnums)
+        assert _from_hat(ct, got, linv * rinv) == want
+        # the terms come out in the order of the Scalar kernels
+        assert list(got) == list(
+            (UElement(ct, left) * UElement(ct, right)).terms)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
