@@ -60,9 +60,10 @@ numerators in the ê basis times one Scalar factor; a monomial image is the
 integer product of those numerators, its factor the product of theirs.
 T(x) for x = sum_m c_m m puts the c_m factor(m) over one denominator L,
 sums the integer numerators, and makes each output coefficient with one
-Scalar reduction by 1/L times the ê -> e factor of its e-word, which is
-folded into 1/L first.  The terms come out in the order of the Scalar
-products, so a failing check names the same witness.  Root-vector chains
+Scalar reduction by 1/L times the ê -> e factor D_{wt E} of its e-word
+(uqcore.qdiff_product), folded into 1/L once per weight.  The terms come
+out in the order of the Scalar products, so a failing check names the
+same witness.  Root-vector chains
 (plus=True) keep UElement.mul_plus: their elements are small, and the
 bookkeeping of the factors costs more than it saves there.
 """
@@ -70,10 +71,10 @@ bookkeeping of the factors costs more than it saves there.
 from __future__ import annotations
 
 from .rootdata import CartanType
-from .scalars import (ONE, Scalar, _pmul, common_denominator, laurent_product,
-                      qfact)
-from .uqcore import (UElement, _add_int_term, _add_term, _trusted,
-                     divided_e_power, divided_f_power, int_mul)
+from .scalars import ONE, Scalar, common_denominator, laurent_product, qfact
+from .uqcore import (UElement, _add_int_term, _add_term, _fword_weight,
+                     _trusted, divided_e_power, divided_f_power, int_mul,
+                     qdiff_product)
 
 E_FAMILIES = ("edot", "ehat", "etilde")
 F_FAMILIES = ("fdot", "fhat", "ftilde")
@@ -156,27 +157,6 @@ _int_images = {}
 # {(type, kind): {(i, side, j): (nums, factor)}}, the generator images of
 # _gen_table in the same form
 _int_tables = {}
-# {(type, e-word): (q_l - q_l^-1) over its letters}, one shared Scalar per
-# multiset of letters, kept in _delta_counts by letter counts
-_deltas = {}
-_delta_counts = {}
-
-
-def _delta(ct, E):
-    """The Scalar prod_{l in E} (q_l - q_l^{-1}), which takes ê_E to e_E."""
-    d = _deltas.get((ct.name, E))
-    if d is None:
-        counts = tuple(E.count(l) for l in range(ct.rank))
-        d = _delta_counts.get((ct.name, counts))
-        if d is None:
-            p = {0: 1}
-            for l, n in enumerate(counts):
-                dl = ct.qi(l)
-                for _ in range(n):
-                    p = _pmul(p, {dl: 1, -dl: -1})
-            d = _delta_counts[(ct.name, counts)] = laurent_product(p, ())
-        _deltas[(ct.name, E)] = d
-    return d
 
 
 def _int_table(ct, kind):
@@ -190,7 +170,8 @@ def _int_table(ct, kind):
         for g, y in _gen_table(ct, kind).items():
             monos = list(y.terms)
             nums, factor = common_denominator(
-                [y.terms[m] / _delta(ct, m[2]) for m in monos])
+                [y.terms[m] / qdiff_product(ct, _fword_weight(ct, m[2]))
+                 for m in monos])
             tab[g] = (dict(zip(monos, nums)), factor)
         _int_tables[key] = tab
     return tab
@@ -259,7 +240,7 @@ def _apply(ct, kind, i, x: UElement, plus=False) -> UElement:
         return UElement.zero(ct)
     # sum_m c_m factor(m) nums(m) over one denominator, in integers; each
     # output coefficient is then one reduction of its numerator times
-    # 1/L delta(E), the ê -> e factor folded into 1/L first
+    # D_{wt E} / L, the ê -> e factor folded into 1/L first
     if len(x.terms) == 1:
         (mono, c), = x.terms.items()
         total, scale = _int_image(ct, kind, i, mono)
@@ -277,13 +258,13 @@ def _apply(ct, kind, i, x: UElement, plus=False) -> UElement:
                 _add_int_term(total, m, a, p)
         total = {m: {e: v for e, v in p.items() if v}
                  for m, p in total.items()}
-    folds = {}  # 1/L delta(E), one per shared delta Scalar
+    folds = {}  # D_gamma / L, one per e-word weight gamma
     out = {}
     for m, p in total.items():
-        d = _delta(ct, m[2])
-        fold = folds.get(id(d))
+        gamma = _fword_weight(ct, m[2])
+        fold = folds.get(gamma)
         if fold is None:
-            fold = folds[id(d)] = scale * d
+            fold = folds[gamma] = scale * qdiff_product(ct, gamma)
         out[m] = laurent_product(p, (fold,))
     return _trusted(UElement, ct, out)
 

@@ -32,7 +32,7 @@ from .uqcore import UElement, UTensor, _add_term, mono_str
 
 TYPE_NAMES = ("A1", "A2", "A3", "B2", "G2")
 
-COUNT_HEIGHT = 5    # koy checks Kostant counts up to this height (3 on A3)
+COUNT_HEIGHT = 5    # koy checks Kostant counts to max(H, this) (3 on A3)
 LADDER_TOP = 8      # the A1 ladder checks n = 0 .. LADDER_TOP
 
 # per-case counts of what a case checked, summed into the verify report
@@ -464,13 +464,14 @@ def suite_decomp(types=("A2", "B2", "G2"), height=4):
 # transition / koy suite
 
 def suite_koy(types=("A2", "B2"), height=3, d_reading="qi"):
-    """Kostant index counts, transition round trips, module basis-change
-    round trips."""
+    """Kostant index counts up to max(height, COUNT_HEIGHT), 3 in place of
+    COUNT_HEIGHT on A3; transition round trips and module basis-change
+    round trips up to height."""
     cases = []
     for name in types:
         ct = CartanType(name)
         words = sorted(all_reduced_words(ct, ct.longest_word()))
-        ch = COUNT_HEIGHT if ct.rank <= 2 else min(COUNT_HEIGHT, 3)
+        ch = max(height, COUNT_HEIGHT if ct.rank <= 2 else 3)
         for word in words:
             out = {"check": "kostant counts %s %s"
                    % (ct.name, format_word(word)), "pass": True}
@@ -507,7 +508,7 @@ def suite_koy(types=("A2", "B2"), height=3, d_reading="qi"):
                     cases.append(out)
         # module-level basis change round trips on basis vectors
         wa, wb = words[0], words[1]
-        for ga in _weights_up_to(ct, min(height, 3)):
+        for ga in _weights_up_to(ct, height):
             for n in pbw.indices_of_weight(ct, "ehat", wa, ga):
                 v = fock.FockVector.basis(ct, wa, n)
                 rt = fock.koy_transform(

@@ -8,7 +8,7 @@ tau is the unique bilinear pairing with
     tau(k_lam, k_mu) = q^{(lam,mu)}
     tau(e_i, f_j)   = delta_ij / (q_i - q_i^{-1}).
 
-On pure words it is computed by peeling the last e-letter:
+On pure words it satisfies, peeling the last e-letter,
 
     tau(e_{E'} e_j, f_F) =
         sum over positions p with F_p = j of
@@ -26,16 +26,17 @@ integral numerators (Lusztig's integral form of the pairing):
     D_beta = prod_j (q_j - q_j^{-1})^{m_j}   for beta = sum_j m_j alpha_j,
 
 with N(E, F) = N(F, E).  Pairing.numerator keeps N as integer exponent
-maps, one per unordered word pair; pbw computes hat coordinates from them.
-tau_words stays the independent Scalar reference for canonical_coords, the
-pbw-orth suite and the tests.
+maps, one per unordered word pair; D_beta is uqcore.qdiff_product.  Every
+value of tau comes from them: tau_words is one reduction of N(E, F) by
+1/D_beta, kept per ordered pair, and pbw computes hat coordinates from N
+directly.
 """
 
 from __future__ import annotations
 
 from .rootdata import CartanType
-from .scalars import ONE, ZERO, Scalar, qdiff_inverse
-from .uqcore import UElement, _fword_weight
+from .scalars import ONE, ZERO, Scalar, laurent_product
+from .uqcore import UElement, _fword_weight, qdiff_product
 
 
 _ONE_MAP = {0: 1}
@@ -57,40 +58,30 @@ class Pairing:
         return obj
 
     def tau_words(self, eword, fword) -> Scalar:
-        """tau(e_{eword}, f_{fword}) on pure words."""
+        """tau(e_{eword}, f_{fword}) = N(eword, fword) / D_beta on pure
+        words, memoized per ordered pair."""
         ct = self.ct
-        if _fword_weight(ct, eword) != _fword_weight(ct, fword):
+        beta = _fword_weight(ct, eword)
+        if beta != _fword_weight(ct, fword):
             return ZERO
         if not eword:
             return ONE
         key = (eword, fword)
         val = self._memo.get(key)
-        if val is not None:
-            return val
-        j = eword[-1]
-        head = eword[:-1]
-        row = ct.form[j]
-        # -(alpha_j, wt fword[p+1:]), kept as a running sum over p
-        shift = -sum(row[letter] for letter in fword)
-        total = ZERO
-        for p, letter in enumerate(fword):
-            shift += row[letter]
-            if letter != j:
-                continue
-            sub = self.tau_words(head, fword[:p] + fword[p + 1:])
-            if not sub.is_zero():
-                total = total + sub * Scalar.q_power(shift)
-        total = total * qdiff_inverse(ct.qi(j))
-        self._memo[key] = total
-        return total
+        if val is None:
+            num = self.numerator(eword, fword)
+            val = laurent_product(num, (qdiff_product(ct, beta).inverse(),)) \
+                if num else ZERO
+            self._memo[key] = val
+        return val
 
     def numerator(self, eword, fword) -> dict:
         """N(E, F) = tau(e_E, f_F) D_beta for words (tuples) of one weight
         beta, as an exponent map over Z[q, q^-1]; {} when the weights
-        differ.  This is the recursion of tau_words without its
-        1/(q_j - q_j^-1) factors, and since N(E, F) = N(F, E) each
-        unordered pair is computed and kept once.  The returned maps are
-        shared and must not be mutated."""
+        differ.  It is computed by the recursion of the module docstring
+        without its 1/(q_j - q_j^-1) factors, and since N(E, F) = N(F, E)
+        each unordered pair is computed and kept once.  The returned maps
+        are shared and must not be mutated."""
         if not eword:
             return {} if fword else _ONE_MAP
         key = (eword, fword) if eword <= fword else (fword, eword)
@@ -112,16 +103,6 @@ class Pairing:
                 total[e] = total.get(e, 0) + v
         val = self._numerators[key] = {e: v for e, v in total.items() if v}
         return val
-
-    def inverse_denominator(self, gamma) -> Scalar:
-        """1/D_beta for beta = gamma: D_beta = prod_j (q_j - q_j^-1)^{m_j}
-        over the coordinates m_j of gamma, so that tau(e_E, f_F) =
-        N(E, F) / D_beta."""
-        out = ONE
-        for j, m in enumerate(gamma):
-            for _ in range(m):
-                out = out * qdiff_inverse(self.ct.qi(j))
-        return out
 
     def tau(self, x: UElement, y: UElement) -> Scalar:
         """Bilinear extension; x must lie in U^{>=0}, y in U^{<=0}."""

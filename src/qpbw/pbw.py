@@ -25,9 +25,9 @@ weight block by the exact Gauss-Jordan elimination of qpbw.linalg.
 
 tau is bilinear, so pbw_coords pairs x with its weight block through x's
 dual vector, over Z[q, q^-1].  With tau(e_E, f_F) = N(E, F) / D_gamma
-(pairing.Pairing.numerator), x's coefficients over one denominator,
-c_E = a_E / den_x, and each dual hat monomial over its own, fhat^n =
-sum_F b_F / den_y f_F, the coordinate at n is
+(pairing.Pairing.numerator, uqcore.qdiff_product), x's coefficients
+over one denominator, c_E = a_E / den_x, and each dual hat monomial over
+its own, fhat^n = sum_F b_F / den_y f_F, the coordinate at n is
 
     tau(x, fhat^n) / hat_norm(n)
         = (sum_F w[F] b_F) / (den_x den_y D_gamma hat_norm(n)),
@@ -59,9 +59,8 @@ from .linalg import solve_linear
 from .pairing import Pairing, words_of_weight
 from .rootdata import (CartanType, exponent_weight, prefix_roots,
                        suffix_roots)
-from .scalars import (ONE, Scalar, _pmul_into, common_denominator,
-                      laurent_product, qdiff_inverse)
-from .uqcore import UElement, _fword_weight
+from .scalars import Scalar, _pmul_into, common_denominator, laurent_product
+from .uqcore import UElement, _fword_weight, qdiff_product
 
 
 def normalize_family(family: str) -> str:
@@ -130,17 +129,15 @@ def _exponent_vectors(ct: CartanType, roots, gamma):
 def _hat_norm(ct_name: str, word, n) -> Scalar:
     """tau(ehat^(n), fhat^n) = prod_r c_{q_r}(n_r) / [n_r]_{q_r}!, with
     q_r = q^{d_{i_r}}; since c_q(m) = [m]_q! q^{-m(m-1)/2} (q - q^-1)^-m,
-    each factor is the q-power q_r^{-n_r(n_r-1)/2} times
-    1/(q_r - q_r^-1)^{n_r}."""
+    this is the q-power prod_r q_r^{-n_r(n_r-1)/2} over D_gamma for
+    gamma = sum_r n_r alpha_{i_r}."""
     ct = CartanType(ct_name)
-    total = ONE
-    for r, nr in enumerate(n):
-        if nr:
-            d = ct.qi(word[r])
-            total = total * Scalar.q_power(-d * (nr * (nr - 1) // 2))
-            for _ in range(nr):
-                total = total * qdiff_inverse(d)
-    return total
+    gamma = [0] * ct.rank
+    shift = 0
+    for i, nr in zip(word, n):
+        gamma[i] += nr
+        shift -= ct.qi(i) * (nr * (nr - 1) // 2)
+    return Scalar.q_power(shift) / qdiff_product(ct, gamma)
 
 
 # -- the process-wide block store ------------------------------------------
@@ -183,7 +180,6 @@ def _dual_block(ct: CartanType, word, gamma, eside):
     def build():
         words = words_of_weight(ct, gamma)
         pos = {u: p for p, u in enumerate(words)}
-        inv_d = Pairing(ct).inverse_denominator(gamma)
         duals = []
         for n in indices_of_weight(ct, family, word, gamma):
             y = pbw_monomial(ct, family, word, n)
@@ -197,8 +193,8 @@ def _dual_block(ct: CartanType, word, gamma, eside):
                 us.append(pos[F if eside else E])
                 cs.append(c)
             nums, inv_y = common_denominator(cs)
-            duals.append((n, list(zip(us, nums)),
-                          inv_y * inv_d / _hat_norm(ct.name, word, n)))
+            duals.append((n, list(zip(us, nums)), inv_y / (
+                qdiff_product(ct, gamma) * _hat_norm(ct.name, word, n))))
         return words, duals
 
     return stored_block(("duals", ct.name, family, word, gamma), build)

@@ -16,7 +16,10 @@ reads ê_i f_i - f_i ê_i = k_i - k_i^{-1}, so products of monomials
 f_F k ê_E with coefficients in Z[q, q^-1] need no division.  int_mul
 multiplies term dicts of that form, with Laurent exponent maps for
 coefficients and no Scalar in its loops; braid computes full operator
-images with it.
+images with it.  qdiff_product(ct, gamma) is the factor D_gamma =
+prod_j (q_j - q_j^{-1})^{m_j} with ê_E = D_{wt E} e_E, one shared Scalar
+per weight; it is also the denominator of the integral pairing
+(pairing.Pairing.numerator), and no other code multiplies those factors.
 
 Hopf structure:
     Delta(e_i) = e_i x 1 + k_i x e_i        eps(e_i) = 0
@@ -35,7 +38,8 @@ process meets.
 from __future__ import annotations
 
 from .rootdata import CartanType
-from .scalars import ONE, Scalar, _pmul, _pmul_into, qdiff_inverse, qfact
+from .scalars import (ONE, Scalar, _pmul, _pmul_into, laurent_product,
+                      qdiff_inverse, qfact)
 
 Mono = tuple  # (fword, kappa, eword)
 
@@ -424,6 +428,26 @@ def int_mul(ct: CartanType, left: dict, right: dict) -> dict:
             _add_int_term(acc, (F1, k1, E1 + E), c, c2)
     return {m: p if all(p.values()) else {e: v for e, v in p.items() if v}
             for m, p in acc.items()}
+
+
+# (type name, weight) -> D_gamma; see qdiff_product.
+_qdiff_products = {}
+
+
+def qdiff_product(ct: CartanType, gamma) -> Scalar:
+    """D_gamma for gamma = sum_j m_j alpha_j (see the module docstring),
+    memoized per (type, weight): words with the same letters get the same
+    object."""
+    key = (ct.name, tuple(gamma))
+    d = _qdiff_products.get(key)
+    if d is None:
+        p = {0: 1}
+        for j, m in enumerate(gamma):
+            dj = ct.qi(j)
+            for _ in range(m):
+                p = _pmul(p, {dj: 1, -dj: -1})
+        d = _qdiff_products[key] = laurent_product(p, ())
+    return d
 
 
 # -- generator images for the (inverse) antipode -------------------------

@@ -84,3 +84,13 @@ def test_c9_g2_oracle():
     res = cli.suite_oracle(types=(("G2", 0),))
     assert [(r["decisions"], r["phi_checked"]) for r in res] == [(245, 245)]
     _report("C9 G2 oracle", res, time.time() - t, 60)
+
+
+def test_c10_g2_koy_conj1():
+    # KOY's third rank-2 case: module basis change round trips and the
+    # word-independence of the transported e_i operator on G2
+    t = time.time()
+    koy = cli.suite_koy(types=("G2",), height=5)
+    conj1 = cli.suite_conj1(types=("G2",), height=4)
+    assert (len(koy), len(conj1)) == (86, 59)
+    _report("C10 G2 koy/conj1", koy + conj1, time.time() - t, 10)

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from qpbw import braid, cli, coordring, fock, pbw, uqcore
-from qpbw.rootdata import CartanType, all_reduced_words
+from qpbw.rootdata import (CartanType, all_reduced_words, kostant_count,
+                           weights_of_height)
 from qpbw.scalars import ONE, ZERO, Scalar
 from qpbw.uqcore import UElement, UTensor, _add_term, mono_str
 
@@ -341,6 +342,18 @@ def test_braid_failures_carry_witnesses(monkeypatch):
     for case in report:
         assert not case["pass"]
         assert case["witness"] == {"coord": "f2", "diff": _per_letter(ONE)}
+
+
+def test_koy_round_trips_reach_the_requested_height():
+    # one module round trip per hat basis vector of each weight up to the
+    # height: sum of the Kostant counts, 2 + 4 + 6 + 9 on A2
+    ct = CartanType("A2")
+    want = sum(kostant_count(ct, ga) for h in range(1, 5)
+               for ga in weights_of_height(ct, h))
+    assert want == 21
+    cases = cli.suite_koy(("A2",), 4)
+    trips = [c for c in cases if c["check"].startswith("koy round trip")]
+    assert len(trips) == want and all(c["pass"] for c in trips)
 
 
 def test_koy_and_conj1_failures_carry_witnesses(capsys, monkeypatch):

@@ -12,6 +12,8 @@ from qpbw.rootdata import CartanType, weights_of_height
 from qpbw.scalars import Scalar, c_const, qint
 from qpbw.uqcore import UElement, divided_e_power
 
+from tau_reference import tau_words_ref
+
 ONE = Scalar.from_int(1)
 
 
@@ -24,17 +26,17 @@ def test_tau_generators():
 
 
 def test_tau_words_is_symmetric():
-    # tau(e_E, f_F) = tau(e_F, f_E) for every pair of words of one weight
+    # tau(e_E, f_F) = tau(e_F, f_E) for every pair of words of one weight,
+    # by the reference recursion, which peels the last letter of E only
     for name, top in (("A2", 4), ("B2", 4), ("G2", 4), ("A3", 3)):
         ct = CartanType(name)
-        pr = Pairing(ct)
         for h in range(top + 1):
             for gamma in weights_of_height(ct, h):
                 words = words_of_weight(ct, gamma)
                 for k, E in enumerate(words):
                     for F in words[k + 1:]:
-                        assert pr.tau_words(E, F) == pr.tau_words(F, E), \
-                            (name, E, F)
+                        assert tau_words_ref(ct, E, F) \
+                            == tau_words_ref(ct, F, E), (name, E, F)
 
 
 # every weight up to height 4 on the rank-2 types, height 3 on A3
@@ -48,18 +50,41 @@ def _weights_with_words(name, top):
             yield ct, gamma, words_of_weight(ct, gamma)
 
 
+def _tau_mismatches(name, top):
+    """The ordered word pairs up to the height top, in order, on which
+    Pairing.tau_words (N(E, F) / D_beta) differs from the reference
+    recursion; the memo of N is keyed on the unordered pair, the memo of
+    tau_words on the ordered one."""
+    out = []
+    for ct, gamma, words in _weights_with_words(name, top):
+        pr = Pairing(ct)
+        for E in words:
+            for F in words:
+                if pr.tau_words(E, F) != tau_words_ref(ct, E, F):
+                    out.append((E, F))
+    return out
+
+
 def test_numerator_over_denominator_is_tau_words():
-    # N(E, F) / D_beta against the independent Scalar recursion, on every
-    # ordered word pair (the memo of N is keyed on the unordered pair, the
-    # memo of tau_words on the ordered one)
     for name, top in NUMERATOR_CASES:
-        for ct, gamma, words in _weights_with_words(name, top):
-            pr = Pairing(ct)
-            inv_d = pr.inverse_denominator(gamma)
-            for E in words:
-                for F in words:
-                    assert Scalar(pr.numerator(E, F)) * inv_d \
-                        == pr.tau_words(E, F), (name, E, F)
+        assert _tau_mismatches(name, top) == [], name
+
+
+def test_wrong_shift_in_the_numerator_is_named(monkeypatch):
+    # N of one A2 word pair at height 3 shifted by q: the comparison with
+    # the reference names that pair and no other
+    target = ((0, 1, 0), (1, 0, 0))
+    numerator = Pairing.numerator
+
+    def shifted(self, eword, fword):
+        val = numerator(self, eword, fword)
+        if (eword, fword) == target:
+            val = {e + 1: v for e, v in val.items()}
+        return val
+
+    monkeypatch.setattr(Pairing, "_instances", {})
+    monkeypatch.setattr(Pairing, "numerator", shifted)
+    assert _tau_mismatches("A2", 3) == [target]
 
 
 def _numerator_ordered(ct, eword, fword, memo):

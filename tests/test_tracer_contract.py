@@ -4,7 +4,9 @@ import sites it requires makes install() raise.  This checks the contract
 from the program's side: install succeeds, uninstall restores every
 patched name, a traced `qpbw transition` call shows work in the layers
 the benchmark's transition workload declares, and a traced conj1 run, called
-directly or through `qpbw verify`, shows work in `cli.suite`."""
+directly or through `qpbw verify`, shows work in `cli.suite`.  After each
+traced run layer_metrics, which reads the program's memos by name, returns
+every per-layer metric."""
 
 import importlib.util
 import sys
@@ -74,15 +76,25 @@ def test_traced_transition_shows_pairing_pbw_and_scalar_work(monkeypatch,
     for name in ("pairing.calls", "pbw.calls", "scalars.mul.calls",
                  "cli.suite.calls"):
         assert snap.get(name, 0) > 0, name
+    _assert_layer_metrics(tracer, t)
+
+
+def _assert_layer_metrics(tracer, t):
+    # layer_metrics reads the program's memos by name (memo_sizes), as
+    # every traced benchmark pass does
+    metrics = tracer.layer_metrics(t)
+    assert {n for n, _ in tracer.PER_LAYER} <= set(metrics)
 
 
 def _traced(call):
-    t = _load_tracer().Tracer()
+    tracer = _load_tracer()
+    t = tracer.Tracer()
     t.install()
     try:
         result = call()
     finally:
         t.uninstall()
+    _assert_layer_metrics(tracer, t)
     return result, t.snapshot()
 
 

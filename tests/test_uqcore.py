@@ -296,6 +296,22 @@ def _delta_word(ct, E):
     return d
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_qdiff_product_is_the_word_factor(name):
+    # D_{wt E} on every word up to length 4, one object per letter multiset
+    ct = CartanType(name)
+    seen = {}
+    words = [()]
+    for _ in range(4):
+        words = [w + (l,) for w in words for l in range(ct.rank)]
+        for E in words:
+            gamma = uqcore._fword_weight(ct, E)
+            d = uqcore.qdiff_product(ct, gamma)
+            assert d == _delta_word(ct, E), (name, E)
+            assert seen.setdefault(tuple(sorted(E)), d) is d, (name, E)
+    assert uqcore.qdiff_product(ct, ct.zero()) == ONE
+
+
 def _to_hat(ct, terms):
     """Integral ê-basis numerators of a Scalar term dict, and 1/L."""
     monos = list(terms)
