@@ -35,9 +35,9 @@ survives that projection is computed.  Right multiplication in the normal
 form never shortens the f-word of a term, so a term that has picked up an
 f-letter inside a product of generator images still has one when the
 product is done and is dropped by the projection; it is dropped as soon as
-it appears (plus=True on the operators).  Terms with a k-part but no
-f-letter are kept until the step ends, because a later commutator can move
-their k-part back to zero.
+it appears (plus=True on the operators, uqcore.int_mul with plus).  Terms
+with a k-part but no f-letter are kept until the step ends, because a
+later commutator can move their k-part back to zero.
 
 The f-side families come from the e-side ones through the Q(q)-linear
 anti-involution psi (e_i <-> f_i, k fixed; UElement.psi).  On the
@@ -51,28 +51,28 @@ so
 with the same representatives the f-side chains would produce.  On pure
 words psi reverses the word and swaps e and f.
 
-Full images (plus=False: the braid relations, validate_inverses and the
-inverse tables) are computed over Z[q, q^-1].  The operators preserve the
-Z[q, q^-1]-form of U, and in the basis ê_j = (q_j - q_j^{-1}) e_j the
-commutator ê_j f_j - f_j ê_j = k_j - k_j^{-1} is integral
-(uqcore.int_mul).  Each generator image is stored once as integer
-numerators in the ê basis times one Scalar factor; a monomial image is the
-integer product of those numerators, its factor the product of theirs.
-T(x) for x = sum_m c_m m puts the c_m factor(m) over one denominator L,
-sums the integer numerators, and makes each output coefficient with one
-Scalar reduction by 1/L times the ê -> e factor D_{wt E} of its e-word
-(uqcore.qdiff_product), folded into 1/L once per weight.  The terms come
-out in the order of the Scalar products, so a failing check names the
-same witness.  Root-vector chains
-(plus=True) keep UElement.mul_plus: their elements are small, and the
-bookkeeping of the factors costs more than it saves there.
+Operator images are computed over Z[q, q^-1], for both values of plus.
+The operators preserve the Z[q, q^-1]-form of U, and in the basis
+ê_j = (q_j - q_j^{-1}) e_j the commutator ê_j f_j - f_j ê_j = k_j - k_j^{-1}
+is integral (uqcore.int_mul).  Each generator image is stored once as
+integer numerators in the ê basis times one Scalar factor; a monomial
+image is the integer product of those numerators, its factor the product
+of theirs, and with plus the product keeps only its f-free terms.  T(x)
+for x = sum_m c_m m puts the c_m factor(m) over one denominator L, sums
+the integer numerators, and makes each output coefficient with one Scalar
+reduction by 1/L times the ê -> e factor D_{wt E} of its e-word
+(uqcore.qdiff_product), folded into 1/L once per weight; with plus the
+result is then projected onto U^+.  The terms come out in the order of the
+Scalar products, so a failing check names the same witness.  A chain step
+hands the next one Scalar coefficients, not integer numerators: carried in
+integral form from step to step, the numerators of a chain grow.
 """
 
 from __future__ import annotations
 
 from .rootdata import CartanType
 from .scalars import ONE, Scalar, common_denominator, laurent_product, qfact
-from .uqcore import (UElement, _add_int_term, _add_term, _fword_weight,
+from .uqcore import (UElement, _add_int_term, _fword_weight,
                      _trusted, divided_e_power, divided_f_power, int_mul,
                      qdiff_product)
 
@@ -149,10 +149,9 @@ def _gen_image(ct, kind, i, side, j):
 
 
 # Images of monomials f_F k_kappa e_E under one operator, for the life of
-# the process.  plus=True: {(type, kind, i, monomial): UElement}.
-# plus=False: {(type, kind, i, monomial): (nums, factor)}, the image as an
-# integral term dict in the ê basis (uqcore.int_mul) times a Scalar.
-_images = {}
+# the process: {(type, kind, i, monomial, plus): (nums, factor)}, the image
+# as an integral term dict in the ê basis (uqcore.int_mul) times a Scalar;
+# with plus, only its f-free terms (see the module docstring).
 _int_images = {}
 # {(type, kind): {(i, side, j): (nums, factor)}}, the generator images of
 # _gen_table in the same form
@@ -177,65 +176,34 @@ def _int_table(ct, kind):
     return tab
 
 
-def _int_image(ct, kind, i, mono):
+def _int_image(ct, kind, i, mono, plus):
     """The operator's image of one monomial as (nums, factor): the image of
     the monomial without its last letter (f-word, then k-part, then e-word)
-    times the image of that letter, the factors multiplied."""
-    key = (ct.name, kind, i, mono)
+    times the image of that letter, the factors multiplied; with plus, its
+    f-free terms."""
+    key = (ct.name, kind, i, mono, plus)
     y = _int_images.get(key)
     if y is not None:
         return y
     F, kappa, E = mono
     zero = ct.zero()
     if E:
-        x = _int_image(ct, kind, i, (F, kappa, E[:-1]))
+        x = _int_image(ct, kind, i, (F, kappa, E[:-1]), plus)
         g = _int_table(ct, kind)[(i, "e", E[-1])]
     elif kappa != zero:
-        x = _int_image(ct, kind, i, (F, zero, ()))
+        x = _int_image(ct, kind, i, (F, zero, ()), plus)
         g = ({((), ct.reflect_q(i, kappa), ()): {0: 1}}, ONE)
     elif F:
-        x = _int_image(ct, kind, i, (F[:-1], zero, ()))
+        x = _int_image(ct, kind, i, (F[:-1], zero, ()), plus)
         g = _int_table(ct, kind)[(i, "f", F[-1])]
     else:
         y = _int_images[key] = ({mono: {0: 1}}, ONE)
         return y
-    y = _int_images[key] = (int_mul(ct, x[0], g[0]), x[1] * g[1])
-    return y
-
-
-def _mono_image(ct, kind, i, mono):
-    """The image of one monomial with its terms outside U^+ dropped (see
-    the module docstring): the image of the monomial without its last
-    letter times the image of that letter, by UElement.mul_plus."""
-    key = (ct.name, kind, i, mono)
-    y = _images.get(key)
-    if y is not None:
-        return y
-    F, kappa, E = mono
-    tab = _gen_table(ct, kind)
-    zero = ct.zero()
-    if E:
-        y = _mono_image(ct, kind, i, (F, kappa, E[:-1])).mul_plus(
-            tab[(i, "e", E[-1])])
-    elif kappa != zero:
-        y = _mono_image(ct, kind, i, (F, zero, ())).mul_plus(
-            UElement.k(ct, ct.reflect_q(i, kappa)))
-    elif F:
-        y = _mono_image(ct, kind, i, (F[:-1], zero, ())).mul_plus(
-            tab[(i, "f", F[-1])])
-    else:
-        y = UElement.one(ct)
-    _images[key] = y
+    y = _int_images[key] = (int_mul(ct, x[0], g[0], plus), x[1] * g[1])
     return y
 
 
 def _apply(ct, kind, i, x: UElement, plus=False) -> UElement:
-    if plus:
-        acc = {}
-        for mono, c in x.terms.items():
-            for m, v in _mono_image(ct, kind, i, mono).terms.items():
-                _add_term(acc, m, v * c)
-        return project_plus(_trusted(UElement, ct, acc))
     if not x.terms:
         return UElement.zero(ct)
     # sum_m c_m factor(m) nums(m) over one denominator, in integers; each
@@ -243,12 +211,12 @@ def _apply(ct, kind, i, x: UElement, plus=False) -> UElement:
     # D_{wt E} / L, the ê -> e factor folded into 1/L first
     if len(x.terms) == 1:
         (mono, c), = x.terms.items()
-        total, scale = _int_image(ct, kind, i, mono)
+        total, scale = _int_image(ct, kind, i, mono, plus)
         scale = scale * c
     else:
         images, scales = [], []
         for mono, c in x.terms.items():
-            nums, factor = _int_image(ct, kind, i, mono)
+            nums, factor = _int_image(ct, kind, i, mono, plus)
             images.append(nums)
             scales.append(factor * c)
         cs, scale = common_denominator(scales)
@@ -266,7 +234,8 @@ def _apply(ct, kind, i, x: UElement, plus=False) -> UElement:
         if fold is None:
             fold = folds[gamma] = scale * qdiff_product(ct, gamma)
         out[m] = laurent_product(p, (fold,))
-    return _trusted(UElement, ct, out)
+    y = _trusted(UElement, ct, out)
+    return project_plus(y) if plus else y
 
 
 # With plus=True each operator returns project_plus of its image, computed
@@ -305,10 +274,10 @@ def apply_word(ct, kind, word, x: UElement, inverse=False) -> UElement:
 def validate_inverses(ct: CartanType):
     """Round-trip check of the inverse tables modulo the Serre ideal;
     raises ValueError naming the operator, i, j and the generator.  The
-    memo of monomial images is dropped first, so the check sees the
-    tables as they are now."""
+    memos of monomial images (both values of plus) and of integral
+    generator images are dropped first, so the check sees the tables as
+    they are now."""
     from .pairing import eq_mod_serre
-    _images.clear()
     _int_images.clear()
     _int_tables.clear()
     for i in range(ct.rank):
@@ -340,9 +309,13 @@ _PSI_PARTNERS = {"fdot": "ehat", "fhat": "edot"}
 
 def root_vector(ct: CartanType, family: str, word, r: int) -> UElement:
     """The r-th root vector (1-based r) of the family along the word,
-    represented by pure e-words (e-families) or f-words (f-families)."""
+    represented by pure e-words (e-families) or f-words (f-families).
+    Raises ValueError unless 1 <= r <= len(word)."""
     family = FAMILY_ALIASES.get(family, family)
     word = tuple(word)
+    if not 1 <= r <= len(word):
+        raise ValueError("root vector index %r outside 1..%d"
+                         % (r, len(word)))
     key = (ct.name, family, word, r)
     v = _root_vectors.get(key)
     if v is not None:

@@ -284,11 +284,19 @@ def weyl_dimension(ct: CartanType, lam) -> int:
 
 
 def parse_word(text: str):
-    """Parse '1,2,1' (1-based serialization) into a 0-based tuple."""
-    letters = tuple(int(p) - 1 for p in text.split(","))
-    if any(i < 0 for i in letters):
-        raise ValueError("word indices are 1-based: %r" % text)
-    return letters
+    """Parse '1,2,1' (1-based serialization) into a 0-based tuple; raises
+    ValueError naming the first letter that is not a positive integer."""
+    letters = []
+    for n, part in enumerate(text.split(","), 1):
+        try:
+            i = int(part)
+        except ValueError:
+            i = 0
+        if i < 1:
+            raise ValueError("letter %d of word %r is %r, not a positive "
+                             "integer" % (n, text, part))
+        letters.append(i - 1)
+    return tuple(letters)
 
 
 def format_word(word) -> str:

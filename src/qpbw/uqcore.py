@@ -15,8 +15,12 @@ The integral form: in the basis ê_i = (q_i - q_i^{-1}) e_i the commutator
 reads ê_i f_i - f_i ê_i = k_i - k_i^{-1}, so products of monomials
 f_F k ê_E with coefficients in Z[q, q^-1] need no division.  int_mul
 multiplies term dicts of that form, with Laurent exponent maps for
-coefficients and no Scalar in its loops; braid computes full operator
-images with it.  qdiff_product(ct, gamma) is the factor D_gamma =
+coefficients and no Scalar in its loops; braid computes every operator
+image with it, and with plus int_mul makes only the f-free terms of a
+product whose left factor is f-free (the root-vector chains).  The Scalar
+kernels stay for UElement products and U x U: converting to and from the
+ê basis around each of those products costs more than it saves.
+qdiff_product(ct, gamma) is the factor D_gamma =
 prod_j (q_j - q_j^{-1})^{m_j} with ê_E = D_{wt E} e_E, one shared Scalar
 per weight; it is also the denominator of the integral pairing
 (pairing.Pairing.numerator), and no other code multiplies those factors.
@@ -146,19 +150,6 @@ class UElement:
             for m, c in prod.items():
                 _add_term(acc, m, c * c2)
         return _trusted(UElement, self.ct, acc)
-
-    def mul_plus(self, other):
-        """The terms of self * other with an empty f-word, computed without
-        the others.  Right multiplication never shortens the f-word, so
-        only the f-free terms of self contribute, and each f_j of other
-        enters through its commutator terms alone."""
-        ct = self.ct
-        start = {m: c for m, c in self.terms.items() if not m[0]}
-        acc = {}
-        for m2, c2 in other.terms.items():
-            for m, c in _rmul_mono(ct, start, m2, plus=True).items():
-                _add_term(acc, m, c * c2)
-        return _trusted(UElement, ct, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -299,13 +290,12 @@ def _mono_sort_key(mono):
 
 # -- right multiplication by generators, on raw term dicts ----------------
 
-def _rmul_mono(ct: CartanType, terms: dict, mono, plus=False) -> dict:
-    """terms * (f_F k_kappa e_E); with plus, the terms are f-free and the
-    f-word extensions, which no later factor can remove, are left out."""
+def _rmul_mono(ct: CartanType, terms: dict, mono) -> dict:
+    """terms * (f_F k_kappa e_E)."""
     F, kappa, E = mono
     cur = dict(terms)
     for j in F:
-        cur = _rmul_f(ct, cur, j, plus)
+        cur = _rmul_f(ct, cur, j)
     if any(kappa):
         cur = _rmul_k(ct, cur, kappa)
     for j in E:
@@ -330,16 +320,15 @@ def _rmul_k(ct: CartanType, terms: dict, gamma) -> dict:
     return acc
 
 
-def _rmul_f(ct: CartanType, terms: dict, j: int, plus=False) -> dict:
+def _rmul_f(ct: CartanType, terms: dict, j: int) -> dict:
     alpha_j = ct.alpha(j)
     row = ct.form[j]
     inv = qdiff_inverse(ct.qi(j))
     acc = {}
     for (F, kappa, E), c in terms.items():
         # f_j passes kappa and all of E, then joins the f-word.
-        if not plus:
-            shift = -sum(k * b for k, b in zip(kappa, row))
-            _add_term(acc, (F + (j,), kappa, E), c * Scalar.q_power(shift))
+        shift = -sum(k * b for k, b in zip(kappa, row))
+        _add_term(acc, (F + (j,), kappa, E), c * Scalar.q_power(shift))
         if j not in E:
             continue
         # commutator terms, one per e_j letter in E, each a q-shift of
@@ -391,13 +380,16 @@ def _rmul_int_k(ct: CartanType, terms: dict, gamma) -> dict:
     return out
 
 
-def _rmul_int_f(ct: CartanType, terms: dict, j: int) -> dict:
+def _rmul_int_f(ct: CartanType, terms: dict, j: int, plus=False) -> dict:
+    """terms * f_j; with plus, the f-word extensions are left out and only
+    the commutator terms are made."""
     alpha_j = ct.alpha(j)
     row = ct.form[j]
     acc = {}
     for (F, kappa, E), c in terms.items():
-        _add_int_term(acc, (F + (j,), kappa, E), c,
-                      {-sum(k * b for k, b in zip(kappa, row)): 1})
+        if not plus:
+            _add_int_term(acc, (F + (j,), kappa, E), c,
+                          {-sum(k * b for k, b in zip(kappa, row)): 1})
         if j not in E:
             continue
         # one commutator pair per ê_j letter, shifted by s = (alpha_j,
@@ -414,14 +406,17 @@ def _rmul_int_f(ct: CartanType, terms: dict, j: int) -> dict:
     return acc
 
 
-def int_mul(ct: CartanType, left: dict, right: dict) -> dict:
+def int_mul(ct: CartanType, left: dict, right: dict, plus=False) -> dict:
     """The product of two integral term dicts (ê basis), with the zero
-    entries of each coefficient map removed."""
+    entries of each coefficient map removed.  With plus, left is f-free and
+    only the f-free terms of the product are made: right multiplication
+    never shortens the f-word, so each f_j of right enters through its
+    commutator terms alone."""
     acc = {}
     for (F, kappa, E), c2 in right.items():
         cur = left
         for j in F:
-            cur = _rmul_int_f(ct, cur, j)
+            cur = _rmul_int_f(ct, cur, j, plus)
         if any(kappa):
             cur = _rmul_int_k(ct, cur, kappa)
         for (F1, k1, E1), c in cur.items():

@@ -225,6 +225,17 @@ def test_default_operators_keep_the_full_image():
                 == UElement.zero(ct)
 
 
+def test_root_vector_rejects_an_index_outside_the_word():
+    ct = CartanType("A2")
+    word = (0, 1, 0)
+    for family in ("ehat", "etilde", "fdot"):
+        for r in (0, -1, len(word) + 1):
+            before = dict(braid._root_vectors)
+            with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+                braid.root_vector(ct, family, word, r)
+            assert braid._root_vectors == before, (family, r)
+
+
 def test_validate_inverses_names_a_corrupted_entry():
     ct = CartanType("B2")
     tab = braid._gen_table(ct, "hat_inv")
@@ -241,17 +252,17 @@ def test_validate_inverses_names_a_corrupted_entry():
 
 def _apply_letter_by_letter(ct, kind, i, x, plus):
     # the operator image built afresh for every monomial, letter by letter
-    # in f -> k -> e order, without the memo of monomial images
+    # in f -> k -> e order by Scalar products, without the memo of monomial
+    # images; with plus, the projection of the full image
     tab = braid._gen_table(ct, kind)
-    times = UElement.mul_plus if plus else UElement.__mul__
     out = UElement.zero(ct)
     for (F, kappa, E), c in x.terms.items():
         y = UElement.one(ct)
         for j in F:
-            y = times(y, tab[(i, "f", j)])
-        y = times(y, UElement.k(ct, ct.reflect_q(i, kappa)))
+            y = y * tab[(i, "f", j)]
+        y = y * UElement.k(ct, ct.reflect_q(i, kappa))
         for j in E:
-            y = times(y, tab[(i, "e", j)])
+            y = y * tab[(i, "e", j)]
         out = out + y.scale(c)
     return braid.project_plus(out) if plus else out
 
@@ -299,8 +310,10 @@ def test_second_apply_reads_the_memo(monkeypatch):
          * UElement.e_word(ct, (0, 1, 1))
          + UElement.e_word(ct, (1, 0)).scale(Scalar.q_power(2)))
     braid._int_images.clear()
-    first = braid._apply(ct, "hat", 1, x)
-    assert all((ct.name, "hat", 1, m) in braid._int_images for m in x.terms)
+    first = {plus: braid._apply(ct, "hat", 1, x, plus)
+             for plus in (False, True)}
+    assert all((ct.name, "hat", 1, m, plus) in braid._int_images
+               for m in x.terms for plus in (False, True))
 
     def no_table(ct, kind):
         raise AssertionError("image rebuilt instead of read from the memo")
@@ -308,7 +321,28 @@ def test_second_apply_reads_the_memo(monkeypatch):
     # a memo hit needs no generator image
     monkeypatch.setattr(braid, "_gen_table", no_table)
     monkeypatch.setattr(braid, "_int_table", no_table)
-    assert braid._apply(ct, "hat", 1, x) == first
+    for plus in (False, True):
+        assert braid._apply(ct, "hat", 1, x, plus) == first[plus]
+
+
+@pytest.mark.parametrize("plus_first", [True, False])
+def test_plus_and_full_images_do_not_share_memo_entries(plus_first):
+    # the memo holds f-free images under plus=True and full images under
+    # plus=False; whichever is computed first, the other reads its own
+    ct = CartanType("B2")
+    xs = [UElement.e_word(ct, w) for w in ((0,), (1,), (0, 1), (1, 1, 0))]
+    xs += _mixed_elements(ct, random.Random(23), 3)
+    want = {}
+    for plus in (False, True):
+        braid._int_images.clear()
+        want[plus] = [braid.t_hat(ct, i, x, plus=plus)
+                      for x in xs for i in range(ct.rank)]
+    braid._int_images.clear()
+    got = {}
+    for plus in ((True, False) if plus_first else (False, True)):
+        got[plus] = [braid.t_hat(ct, i, x, plus=plus)
+                     for x in xs for i in range(ct.rank)]
+    assert got == want
 
 
 def test_restored_table_entry_is_not_shadowed_by_derived_tables():

@@ -72,6 +72,19 @@ def test_transition_bad_inputs(capsys):
         assert err  # diagnostics go to stderr
 
 
+def test_transition_bad_word_names_the_letter(capsys):
+    for word, err in (
+            ("1,,2", "bad word: letter 2 of word '1,,2' is '', not a "
+                     "positive integer\n"),
+            ("1,x,2", "bad word: letter 2 of word '1,x,2' is 'x', not a "
+                      "positive integer\n"),
+            ("", "bad word: letter 1 of word '' is '', not a positive "
+                 "integer\n")):
+        got = run(["transition", "--type", "A2", "--from", word, "--to",
+                   "2,1,2", "--height", "1"], capsys)
+        assert got == (2, "", err), word
+
+
 def test_transition_unknown_family_exits_2(capsys):
     # an empty --family is an unknown family, not the default one
     for family in ("", "nonsense"):

@@ -220,9 +220,7 @@ def _ref_rmul_mono(ct, terms, mono):
         cur = _ref_rmul_f(ct, cur, j)
     if any(kappa):
         cur = _ref_rmul_k(ct, cur, kappa)
-    for j in E:
-        cur = uqcore._rmul_e(cur, j)
-    return cur
+    return {(F1, k1, E1 + E): c for (F1, k1, E1), c in cur.items()}
 
 
 def _ref_tensor_mul(x, y):
@@ -269,9 +267,7 @@ def test_rmul_f_matches_reference(name):
         terms = {_random_mono(ct, rng, 4): _random_coeff(rng)
                  for _ in range(rng.randint(1, 4))}
         j = rng.randrange(ct.rank)
-        for plus in (False, True):
-            assert uqcore._rmul_f(ct, terms, j, plus) \
-                == _ref_rmul_f(ct, terms, j, plus)
+        assert uqcore._rmul_f(ct, terms, j) == _ref_rmul_f(ct, terms, j)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "G2"])
@@ -338,8 +334,9 @@ def test_integral_rmul_f_matches_reference(name):
                  for _ in range(rng.randint(1, 4))}
         j = rng.randrange(ct.rank)
         nums, inv = _to_hat(ct, terms)
-        assert _from_hat(ct, uqcore._rmul_int_f(ct, nums, j), inv) \
-            == _ref_rmul_f(ct, terms, j)
+        for plus in (False, True):
+            assert _from_hat(ct, uqcore._rmul_int_f(ct, nums, j, plus),
+                             inv) == _ref_rmul_f(ct, terms, j, plus)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "G2"])
@@ -360,6 +357,17 @@ def test_int_mul_matches_reference(name):
         # the terms come out in the order of the Scalar kernels
         assert list(got) == list(
             (UElement(ct, left) * UElement(ct, right)).terms)
+        # with plus, the f-free terms of an f-free left times right
+        free = {m: c for m, c in left.items() if not m[0]}
+        if free:
+            want = {}
+            for m2, c2 in right.items():
+                for m, c in _ref_rmul_mono(ct, free, m2).items():
+                    uqcore._add_term(want, m, c * c2)
+            fnums, finv = _to_hat(ct, free)
+            got = uqcore.int_mul(ct, fnums, rnums, plus=True)
+            assert _from_hat(ct, got, finv * rinv) \
+                == {m: c for m, c in want.items() if not m[0]}
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
