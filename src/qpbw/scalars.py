@@ -8,19 +8,28 @@ constants c(n) and d(n) are built as Laurent polynomials, that is as
 exponent -> integer maps with exponents of either sign, and made a Scalar
 once at the end.
 
-Scalar reduces without a polynomial gcd.  Every denominator the engine
-makes is c q^k prod Phi_n^m, a product of cyclotomic polynomials (they come
-from q-integers and from q^d - q^-d), and each Scalar keeps that
-factorization of its denominator next to the expanded num/den.  A product
-by +-q^j is an exponent shift; otherwise a product divides each numerator
-by the Phi_n of the other denominator while they divide it, and a sum
-works over the least common multiple (the larger multiplicity of each
-Phi_n), then cancels only the Phi_n that can divide the new numerator.
-Whether Phi_n divides p is decided in closed form when p has one or two
-terms, and otherwise by folding the exponents of p mod n (p mod q^n - 1)
-and reducing the fold mod Phi_n.  A denominator with any other factor is
-marked as such, and its arithmetic takes the Euclidean gcd path (_pgcd)
-instead; results are identical either way.
+Every denominator the engine makes is c q^k prod Phi_n^m, a product of
+cyclotomic polynomials (they come from q-integers and from q^d - q^-d), and
+each Scalar keeps that factorization of its denominator next to the
+expanded num/den.  Arithmetic reduces by one of two rules, chosen by the
+kind of denominator:
+
+- Factored denominators, monomials c q^k included (no Phi_n), reduce
+  through _reduced, without a polynomial gcd.  A product by +-q^j is an
+  exponent shift; otherwise a product divides each numerator by the Phi_n
+  of the other denominator while they divide it, and a sum works over the
+  least common multiple (the larger multiplicity of each Phi_n), then
+  cancels only the Phi_n that can divide the new numerator, the common
+  q-power and the common integer content.  Whether Phi_n divides p is
+  decided in closed form when p has one or two terms, and otherwise by
+  folding the exponents of p mod n (p mod q^n - 1) and reducing the fold
+  mod Phi_n.
+- A denominator with any other factor is marked as such, and a sum or
+  product involving it is built unreduced and handed to the constructor
+  Scalar(num, den), whose _normalize is the only caller of the Euclidean
+  gcd _pgcd.
+
+The canonical form is unique, so results are identical either way.
 
 Most operands of the engine are units, so those cost least: a product
 with the shared ONE returns the other operand unchanged, and q_power(k)
@@ -293,6 +302,8 @@ def _phi_product(mult):
 
 
 def _den_of(c, k, mult):
+    if not mult:
+        return {k: c}
     p = _phi_product(mult)
     if c == 1 and k == 0:
         return p
@@ -350,13 +361,10 @@ class Scalar:
 
     __slots__ = ("num", "den", "_hash", "_fac")
 
-    def __init__(self, num, den=None, _normal=False):
+    def __init__(self, num, den=None):
         if den is None:
             den = {0: 1}
-        if _normal:
-            self.num, self.den, self._fac = num, den, None
-        else:
-            self.num, self.den, self._fac = _normalize(num, den)
+        self.num, self.den, self._fac = _normalize(num, den)
         self._hash = None
 
     # -- constructors -------------------------------------------------
@@ -387,29 +395,13 @@ class Scalar:
             return other
         if not n2:
             return self
+        f1, f2 = _factored(self), _factored(other)
+        if f1 is not False and f2 is not False:
+            return _add_over_lcm(n1, f1, n2, f2)
         d1, d2 = self.den, other.den
-        if d1 == d2:
-            num = dict(n1)
-            for e, v in n2.items():
-                num[e] = num.get(e, 0) + v
-            num = _strip(num)
-            if len(d1) == 1:
-                (e, c), = d1.items()
-                return _mono_den(num, e, c)
-            f = _factored(self)
-            if f is False:
-                return Scalar(num, d1)
-            if not num:
-                return _ZERO
-            # every Phi_n of the common denominator may cancel
-            return _reduced(num, d1, f, f[2])
-        if len(d1) > 1 or len(d2) > 1:
-            f1, f2 = _factored(self), _factored(other)
-            if f1 is not False and f2 is not False:
-                return _add_over_lcm(n1, f1, n2, f2)
-        # monomial denominators (no gcd is needed), or a factor other than
-        # q and the Phi_n
-        return _add_by_gcd(n1, d1, n2, d2)
+        num = _pmul(n1, d2)
+        _pmul_into(num, n2, d1)
+        return Scalar(num, _pmul(d1, d2))
 
     def __sub__(self, other):
         return self + (-other)
@@ -458,15 +450,14 @@ class Scalar:
 
     def subst_q_power(self, d):
         """Substitute q -> q^d (d a positive integer)."""
+        if d < 1:
+            raise ValueError("subst_q_power needs d >= 1, got %r" % (d,))
         if d == 1:
             return self
-        if d < 1:
-            return Scalar({e * d: v for e, v in self.num.items()},
-                          {e * d: v for e, v in self.den.items()})
         # q -> q^d keeps num and den coprime, their contents and the signs
         # of their leading coefficients
-        return Scalar({e * d: v for e, v in self.num.items()},
-                      {e * d: v for e, v in self.den.items()}, _normal=True)
+        return _make({e * d: v for e, v in self.num.items()},
+                     {e * d: v for e, v in self.den.items()}, None)
 
     # -- structure -------------------------------------------------------
     def __eq__(self, other):
@@ -556,7 +547,8 @@ def _reduced(num, den, f, cands):
 
 
 def _add_over_lcm(n1, f1, n2, f2):
-    """n1/d1 + n2/d2 over lcm(d1, d2), both denominators factored."""
+    """n1/d1 + n2/d2 over lcm(d1, d2), both denominators factored
+    (monomials c q^k too)."""
     c1, k1, m1 = f1
     c2, k2, m2 = f2
     lcm = dict(m1)
@@ -607,16 +599,9 @@ def _product(a, b):
         (k, c), = d1.items()
         if c == 1 and (v == 1 or v == -1):
             return _times_unit(b, v, e - k)
-    if len(d1) == 1 and len(d2) == 1:
-        (e1, c1), = d1.items()
-        (e2, c2), = d2.items()
-        return _mono_den(_pmul(n1, n2), e1 + e2, c1 * c2)
     f1, f2 = _factored(a), _factored(b)
     if f1 is False or f2 is False:
-        # both fractions reduced: only cross factors can cancel
-        n1, d2 = _cancel(n1, d2)
-        n2, d1 = _cancel(n2, d1)
-        return _finish(_pmul(n1, n2), _pmul(d1, d2))
+        return Scalar(_pmul(n1, n2), _pmul(d1, d2))
     c1, k1, m1 = f1
     c2, k2, m2 = f2
     # a Phi_n of one denominator can only cancel against the other
@@ -666,99 +651,6 @@ def _reciprocal(s):
     return _make(num, den, None)
 
 
-def _add_by_gcd(n1, d1, n2, d2):
-    """The sum over d1 d2 / gcd(d1, d2), reduced through polynomial gcds;
-    with monomial denominators no gcd is computed."""
-    g = _cross_gcd(d1, d2)
-    if g == {0: 1}:
-        num = dict(_pmul(n1, d2))
-        for e, v in _pmul(n2, d1).items():
-            num[e] = num.get(e, 0) + v
-        # coprime denominators: the sum is already reduced up to content
-        return _finish(_strip(num), _pmul(d1, d2))
-    # over the least common denominator only factors of g can cancel
-    d2p = _pdiv_exact(d2, g)
-    num = dict(_pmul(n1, d2p))
-    for e, v in _pmul(n2, _pdiv_exact(d1, g)).items():
-        num[e] = num.get(e, 0) + v
-    num = _strip(num)
-    if not num:
-        return _ZERO
-    den = _pmul(d1, d2p)
-    while True:
-        t = _cross_gcd(num, g)
-        if t == {0: 1}:
-            break
-        num = _pdiv_exact(num, t)
-        den = _pdiv_exact(den, t)
-        g = _cross_gcd(t, den)
-        if g == {0: 1}:
-            break
-    return _finish(num, den)
-
-
-def _cross_gcd(a, b):
-    """Polynomial-part gcd of a and b, up to q-powers and integer content
-    (monomials cannot contribute a polynomial factor)."""
-    if len(a) == 1 or len(b) == 1:
-        return {0: 1}
-    sa, sb = min(a), min(b)
-    if sa:
-        a = {e - sa: v for e, v in a.items()}
-    if sb:
-        b = {e - sb: v for e, v in b.items()}
-    return _pgcd(a, b)
-
-
-def _cancel(a, b):
-    """Divide the common polynomial factor out of a and b."""
-    g = _cross_gcd(a, b)
-    if g == {0: 1}:
-        return a, b
-    return _pdiv_exact(a, g), _pdiv_exact(b, g)
-
-
-def _finish(num, den):
-    """Canonicalize a fraction whose polynomial parts are already coprime:
-    clear the common q-power, the common integer content, and the sign."""
-    num, den = _strip(num), _strip(den)
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return _ZERO
-    s = min(min(num), min(den))
-    if s:
-        num = {e - s: v for e, v in num.items()}
-        den = {e - s: v for e, v in den.items()}
-    c = math.gcd(_pcontent(num), _pcontent(den))
-    if c > 1:
-        num = {e: v // c for e, v in num.items()}
-        den = {e: v // c for e, v in den.items()}
-    if _plc(den) < 0:
-        num = {e: -v for e, v in num.items()}
-        den = {e: -v for e, v in den.items()}
-    return _make(num, den, None)
-
-
-def _mono_den(num, k, c):
-    """Canonical Scalar for num / (c q^k), avoiding the polynomial gcd."""
-    if not num:
-        return _ZERO
-    s = min(min(num), k)
-    if s:
-        num = {e - s: v for e, v in num.items()}
-        k -= s
-    if c not in (1, -1):
-        g = math.gcd(_pcontent(num), abs(c))
-        if g > 1:
-            num = {e: v // g for e, v in num.items()}
-            c //= g
-    if c < 0:
-        num = {e: -v for e, v in num.items()}
-        c = -c
-    return _make(num, {k: c}, (c, k, ()))
-
-
 def _normalize(num, den):
     """(num, den, factorization of den or None) in canonical form."""
     num, den = _strip(num), _strip(den)
@@ -776,8 +668,7 @@ def _normalize(num, den):
         den = {e: -v for e, v in den.items()}
     f = _den_factors(den)
     if f is not False:
-        r = _reduced(num, den, f, f[2]) if len(den) > 1 else \
-            _mono_den(num, f[1], f[0])
+        r = _reduced(num, den, f, f[2])
         return r.num, r.den, r._fac
     g = _pgcd(num, den)
     if g != {0: 1}:
@@ -865,8 +756,6 @@ def laurent_product(p, factors):
         p = {e - lo: v for e, v in p.items()}
         k -= lo
     f = (c, k, tuple(sorted(mult.items())))
-    if not mult:
-        return _mono_den(p, k, c)
     return _reduced(p, None, f, f[2])
 
 

@@ -681,3 +681,48 @@ def test_property_laurent_product_is_the_product(p, factors):
     got = scalars.laurent_product(p, factors)
     assert got == want
     assert _canonical(got) and _factorization_holds(got)
+
+
+# -- the two reduction rules ---------------------------------------------------
+
+@PROPS
+@given(_fractions(), _fractions())
+def test_property_factored_operands_reduce_without_gcd(a, b):
+    # factored denominators, monomials included, reduce through _reduced:
+    # sums, differences, products and quotients never reach the gcd
+    results = {}
+    with pytest.MonkeyPatch.context() as mp:
+        calls = []
+        real = scalars._pgcd
+        mp.setattr(scalars, "_pgcd",
+                   lambda x, y: calls.append(1) or real(x, y))
+        if scalars._factored(a) is not False:
+            if scalars._factored(b) is not False:
+                results.update(add=a + b, sub=a - b, mul=a * b)
+            if not b.is_zero() and scalars._factored(b.inverse()) is not False:
+                results["div"] = a / b
+        assert calls == []
+    for op, s in results.items():
+        assert scalars._factored(s) is not False, op
+        assert _factorization_holds(s), op
+        assert (s.num, s.den) == _ref_op(op, a, b), op
+
+
+def test_reduction_examples():
+    qq = Scalar({1: 1}, {2: 1, 0: -1})            # q/(q^2 - 1)
+    x = qq + Scalar({0: 1}, {2: 1, 0: -1})        # + 1/(q^2 - 1)
+    assert str(x) == "1/(q - 1)" and x._fac == (1, 0, ((1, 1),))
+    x = Scalar({0: 1}, {1: 2}) + Scalar({0: 1}, {2: 6})
+    assert str(x) == "(3*q + 1)/(6*q^2)" and x._fac == (6, 2, ())
+    x = Scalar({0: 1}, {1: 2}) * Scalar({0: 2}, {1: 1})
+    assert str(x) == "1/q^2" and x._fac == (1, 2, ())
+    odd = {0: 2, 1: 1, 2: 1}                       # q^2 + q + 2
+    x = Scalar({0: 1}, odd) * Scalar(odd, {0: 1, 1: 2})
+    assert str(x) == "1/(2*q + 1)" and scalars._factored(x) is False
+
+
+def test_subst_q_power_rejects_exponents_below_one():
+    x = Scalar({0: 1}, {0: -1, 1: 1})             # 1/(q - 1)
+    for d in (0, -1):
+        with pytest.raises(ValueError):
+            x.subst_q_power(d)
