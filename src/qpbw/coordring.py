@@ -7,7 +7,12 @@ v with f_i v = 0) by the radical of the contravariant form
 
     <x v, y v> = chi_lambda-evaluation of b(x) y at the lowest vector,
 
-where b is the anti-involution e_i <-> f_i.  The generator matrices are
+where b is the anti-involution e_i <-> f_i.  A basis of e-words is chosen
+weight by weight from the lowest weight up, greedily in word order.  Since
+V_gamma = sum_i e_i V_{gamma - alpha_i}, the only words tested at gamma
+are the words (i,) + w whose tail w was chosen at gamma - alpha_i, not
+every ordering of gamma's letters; a module of dimension 64 builds in
+0.6-2 s on a shared 2-vCPU x86-64 machine.  The generator matrices are
 checked against all defining relations (including both Serre families) on
 construction.
 
@@ -189,6 +194,9 @@ class LWModule:
 
     def __init__(self, ct: CartanType, lam):
         lam = tuple(lam)
+        if len(lam) != ct.rank or not all(isinstance(c, int) for c in lam):
+            raise ValueError("lowest weight of %s must have %d integer "
+                             "entries, got %r" % (ct.name, ct.rank, lam))
         if any(c > 0 for c in lam):
             raise ValueError("lowest weight must be antidominant")
         self.ct = ct
@@ -255,10 +263,25 @@ class LWModule:
         chosen greedily in word order.  A word w joins the selection iff
         its Schur complement s = <w,w> - row G^{-1} col is nonzero, since
         det(G + w) = det(G) s; G^{-1} then grows by the block formula.
-        Returns the selected words and G^{-1}."""
+        Returns the selected words and G^{-1}.
+
+        Only tail-closed candidates are tested: a nonempty word (i,) + w',
+        which is e_i w' v, is skipped unless w' was selected at
+        gamma - alpha_i.  Proof that nothing changes: the greedy picks the
+        lexicographically first basis, so an unselected w' is congruent
+        modulo the radical to a combination of smaller words u'; the
+        radical is a submodule, so (i,) + w' is congruent to the same
+        combination of the smaller words (i,) + u' and is not selected
+        either.  Every skipped word depends on earlier ones, so the
+        selection and G^{-1} equal those of the greedy over all words."""
         ct, lam = self.ct, self.lam
+        tails = [set(self.words.get(
+                     tuple(g - a for g, a in zip(gamma, ct.alpha(i))), ()))
+                 for i in range(ct.rank)]
         sel, ginv = [], []
         for w in words_of_weight(ct, gamma):
+            if w and w[1:] not in tails[w[0]]:
+                continue
             col = [_form_words(ct, lam, a, w) for a in sel]
             row = [_form_words(ct, lam, w, b) for b in sel]
             diag = _form_words(ct, lam, w, w)

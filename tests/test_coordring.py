@@ -44,6 +44,15 @@ def test_trivial_module():
         assert V.dim == 1
 
 
+def test_lowest_weight_needs_rank_many_integers():
+    # (-1, 0, 0) used to build the 3-dimensional A2 module, ignoring the
+    # third entry; (-1,) raised IndexError and ("a", 0) TypeError
+    ct = CartanType("A2")
+    for lam in ((-1, 0, 0), (-1,), ("a", 0)):
+        with pytest.raises(ValueError, match="A2 must have 2 integer"):
+            build_irrep(ct, lam)
+
+
 def test_b2_fundamentals():
     ct = CartanType("B2")
     dims = sorted(V.dim for V in fundamental_modules(ct))
@@ -219,8 +228,10 @@ def test_oracle_reports_match_pinned_digests():
 # sha256 of the basis, the per-weight Gram rows and the generator matrices,
 # pinned from the reference build (every ordering of each weight's letters,
 # one full Gram inversion per candidate word): the fast build must
-# reproduce it exactly.  The module keeps only G^{-1}; the Gram rows are
-# rebuilt from the form on the selected words.
+# reproduce it exactly.  The two dim-64 digests were pinned from the build
+# that ran the Schur-complement test on every word of every weight, before
+# only tail-closed candidates were tested.  The module keeps only G^{-1};
+# the Gram rows are rebuilt from the form on the selected words.
 MODULE_DIGESTS = {
     ("G2", (0, -1)):
         "47cb23122647a0bb23ecd5f566ee67b8da74ca46cc525341860dc6a7119b7694",
@@ -230,6 +241,10 @@ MODULE_DIGESTS = {
         "b1654f9490186ff51cf6cae361607f6ba1b4b4d1a834e43ee9b24a1baadbe8bd",
     ("G2", (-1, 0)):
         "c8fee460cf886cd801ab7592bfb2981452274268a42ec23c4c3e68028cd4ae1a",
+    ("A3", (-1, -1, -1)):
+        "27837db1852c449b95222bd599933a1dfd5dcef10235816ee98c88da757e54ad",
+    ("G2", (-1, -1)):
+        "2853a8389a8edfabf70a944792691b6c84227370c60714fafc5c692e491fd032",
 }
 
 
@@ -267,7 +282,7 @@ def test_select_words_matches_exhaustive_gram_inversion():
     # words, so a wrong rank test or inverse update fails there within
     # milliseconds instead of in a long build
     for name, lam in (("A2", (-2, -1)), ("A2", (-2, -2)), ("B2", (0, -3)),
-                      ("G2", (0, -1))):
+                      ("G2", (0, -1)), ("G2", (-1, 0)), ("A3", (0, -1, 0))):
         ct = CartanType(name)
         V = build_irrep(ct, lam)
         # every weight of the module plus the empty ones just above it
