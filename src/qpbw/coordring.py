@@ -7,14 +7,18 @@ v with f_i v = 0) by the radical of the contravariant form
 
     <x v, y v> = chi_lambda-evaluation of b(x) y at the lowest vector,
 
-where b is the anti-involution e_i <-> f_i.  A basis of e-words is chosen
-weight by weight from the lowest weight up, greedily in word order.  Since
-V_gamma = sum_i e_i V_{gamma - alpha_i}, the only words tested at gamma
-are the words (i,) + w whose tail w was chosen at gamma - alpha_i, not
-every ordering of gamma's letters; a module of dimension 64 builds in
-0.6-2 s on a shared 2-vCPU x86-64 machine.  The generator matrices are
-checked against all defining relations (including both Serre families) on
-construction.
+where b is the anti-involution e_i <-> f_i.  The form is symmetric,
+because b fixes U^0, so each candidate word needs only its column of form
+values.  A basis of e-words is chosen weight by weight from the lowest
+weight up, greedily in word order.  Since V_gamma = sum_i e_i
+V_{gamma - alpha_i}, the only words tested at gamma are the words
+(i,) + w whose tail w was chosen at gamma - alpha_i, not every ordering of
+gamma's letters.  When (i,) + w is itself selected, the e_i column of w is
+a unit vector.  The generator matrices are checked against all defining
+relations (including both Serre families) on construction, on sparse
+columns, so the check costs by nonzero entries; the k-relations are
+integer weight tests.  A module of dimension 64 builds in 0.2-0.9 s on a
+shared 2-vCPU x86-64 machine.
 
 A matrix coefficient Phi_{s,t} acts on a tensor Fock vector along a
 reduced word i via the iterated coproduct
@@ -76,11 +80,6 @@ def _mat_mul(a, b):
     return out
 
 
-def _mat_sub(a, b):
-    return [[x if y.is_zero() else x - y for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
-
-
 def _dot(a, b):
     total = ZERO
     for x, y in zip(a, b):
@@ -89,21 +88,28 @@ def _dot(a, b):
     return total
 
 
-def _mat_scale(a, s):
-    return [[x * s for x in row] for row in a]
+def _columns(m):
+    """The dense square matrix m as sparse columns [{row: nonzero Scalar}]."""
+    n = len(m)
+    return [{r: m[r][c] for r in range(n) if not m[r][c].is_zero()}
+            for c in range(n)]
 
 
-def _mat_is_zero(a):
-    return all(x.is_zero() for row in a for x in row)
+def _apply(cols, vec: dict) -> dict:
+    """The sparse matrix cols applied to the sparse vector vec, at a cost
+    of one product per pair of nonzero entries; zeros are dropped."""
+    out = {}
+    for k, c in vec.items():
+        for r, x in cols[k].items():
+            out[r] = out[r] + c * x if r in out else c * x
+    return {r: x for r, x in out.items() if not x.is_zero()}
 
 
 def _mat_inverse(a):
     """Inverse of the square matrix a: its columns solved against the unit
     vectors, so column t of the result is the solution for e_t."""
     n = len(a)
-    cols = [{r: a[r][j] for r in range(n) if not a[r][j].is_zero()}
-            for j in range(n)]
-    sol = solve_linear(cols, [{t: ONE} for t in range(n)])
+    sol = solve_linear(_columns(a), [{t: ONE} for t in range(n)])
     return [[sol[t][r] for t in range(n)] for r in range(n)]
 
 
@@ -221,7 +227,10 @@ class LWModule:
         ct, lam = self.ct, self.lam
         expected = weyl_dimension(ct, lam)
         if expected > self.MAX_DIM:
-            raise ValueError("dimension bound exceeded")
+            raise ValueError(
+                "%s module of lowest weight %s has Weyl dimension %d, above "
+                "LWModule.MAX_DIM = %d" % (ct.name, lam, expected,
+                                           self.MAX_DIM))
         self.weights = []             # list of gamma (Q-coordinates)
         self.words = {}               # gamma -> selected e-words
         self._ginv = {}               # gamma -> inverse Gram of selected
@@ -273,7 +282,17 @@ class LWModule:
         radical is a submodule, so (i,) + w' is congruent to the same
         combination of the smaller words (i,) + u' and is not selected
         either.  Every skipped word depends on earlier ones, so the
-        selection and G^{-1} equal those of the greedy over all words."""
+        selection and G^{-1} equal those of the greedy over all words.
+
+        Only the column col = (<a, w>)_a and u = G^{-1} col are computed.
+        The form is symmetric, <x v, y v> = <y v, x v>: <x v, y v> =
+        chi(b(x) y), where chi(z) is the coefficient of v in z v, that is
+        the U^0 part of z in e-k-f order evaluated at lam.  The
+        anti-involution b maps e_E k f_F to e_F' k f_E' (E', F' reversed)
+        and fixes U^0, so chi(b(z)) = chi(z) and chi(b(x) y) =
+        chi(b(b(x) y)) = chi(b(y) x).  Hence the row (<w, b>)_b equals
+        col, G and G^{-1} are symmetric, and row G^{-1} = (G^{-1} col)^T
+        = u^T."""
         ct, lam = self.ct, self.lam
         tails = [set(self.words.get(
                      tuple(g - a for g, a in zip(gamma, ct.alpha(i))), ()))
@@ -283,19 +302,16 @@ class LWModule:
             if w and w[1:] not in tails[w[0]]:
                 continue
             col = [_form_words(ct, lam, a, w) for a in sel]
-            row = [_form_words(ct, lam, w, b) for b in sel]
             diag = _form_words(ct, lam, w, w)
             u = [_dot(r, col) for r in ginv]                  # G^{-1} col
-            v = [_dot(row, [r[j] for r in ginv])              # row G^{-1}
-                 for j in range(len(sel))]
-            s = diag - _dot(row, u)
+            s = diag - _dot(col, u)
             if s.is_zero():
                 continue
             sinv = s.inverse()
             us = [x * sinv for x in u]
-            ginv = [[g + a * b for g, b in zip(grow, v)] + [-a]
+            ginv = [[g + a * b for g, b in zip(grow, u)] + [-a]
                     for grow, a in zip(ginv, us)]
-            ginv.append([-b * sinv for b in v] + [sinv])
+            ginv.append([-b * sinv for b in u] + [sinv])
             sel.append(w)
         return sel, ginv
 
@@ -323,8 +339,14 @@ class LWModule:
         for col, (gamma, w) in enumerate(self.basis):
             for i in range(ct.rank):
                 up = tuple(gamma[t] + ct.alpha(i)[t] for t in range(ct.rank))
-                for row, c in self._coords(up, {(i,) + w: ONE}).items():
-                    self.e_mats[i][row][col] = c
+                unit = self.index.get((up, (i,) + w))
+                if unit is not None:
+                    # (i,) + w is selected: its form values are a column of
+                    # the Gram matrix, which G^{-1} maps to a unit vector
+                    self.e_mats[i][unit][col] = ONE
+                else:
+                    for row, c in self._coords(up, {(i,) + w: ONE}).items():
+                        self.e_mats[i][row][col] = c
                 down = tuple(gamma[t] - ct.alpha(i)[t]
                              for t in range(ct.rank))
                 fv = _verma_f(ct, self.lam, i, {w: ONE})
@@ -348,66 +370,89 @@ class LWModule:
             m[n][n] = Scalar.q_power(power * self.k_exponent(i, n))
         return m
 
-    def _divided_powers(self, mats, top):
-        """[[m_i^(n) for n in 0..top] for each i], m_i^(n) = m_i^n / [n]_i!
-        for the generator matrices m_i in mats."""
-        out = []
-        for i, m in enumerate(mats):
-            power, row = _identity(self.dim), []
-            for n in range(top + 1):
-                if n:
-                    power = _mat_mul(m, power)
-                row.append(_mat_scale(power,
-                                      qfact(n, self.ct.qi(i)).inverse()))
-            out.append(row)
-        return out
-
     def _check_relations(self):
-        ct = self.ct
-        top = max((1 - ct.a[i][j] for i in range(ct.rank)
-                   for j in range(ct.rank) if i != j), default=0)
-        e_div = self._divided_powers(self.e_mats, top)
-        f_div = self._divided_powers(self.f_mats, top)
+        """Check the generator matrices against every defining relation of
+        U_q: k-e, k-f, e-f and both Serre families.  The dense matrices are
+        read once into sparse columns [{row: nonzero Scalar}], so every
+        product costs by nonzero entries, not by dim^3.  k_i is the
+        diagonal matrix of q^{k_exponent}, so k_i X_j k_i^{-1} =
+        q^{+-(alpha_i, alpha_j)} X_j holds iff each nonzero entry (r, c) of
+        X_j has k_exponent(i, r) - k_exponent(i, c) = +-(alpha_i, alpha_j):
+        the k-relations are integer weight tests.  A failure raises
+        AssertionError naming the relation, i and j (1-based), the first
+        failing (row, col) and both sides."""
+        ct, dim = self.ct, self.dim
+        e = [_columns(m) for m in self.e_mats]
+        f = [_columns(m) for m in self.f_mats]
+        kexp = [[self.k_exponent(i, n) for n in range(dim)]
+                for i in range(ct.rank)]
+        # X_i^(n) = X_i^n / [n]_i! as sparse columns, for the n <= 1 - a_ij
+        # of the Serre relations; index 0, the identity, is not stored
+        e_div, f_div = [], []
+        for gens, divs in ((e, e_div), (f, f_div)):
+            for i, m in enumerate(gens):
+                top = max((1 - ct.a[i][j] for j in range(ct.rank) if j != i),
+                          default=1)
+                power, powers = m, [None, m]
+                for n in range(2, top + 1):
+                    inv = qfact(n, ct.qi(i)).inverse()
+                    power = [_apply(m, v) for v in power]
+                    powers.append([{r: x * inv for r, x in v.items()}
+                                   for v in power])
+                divs.append(powers)
         for i in range(ct.rank):
-            ki, kiv = self.k_matrix(i), self.k_matrix(i, -1)
             for j in range(ct.rank):
-                # k_i e_j k_i^{-1} = q^{(alpha_i, alpha_j)} e_j
                 p = ct.form[i][j]
-                lhs = _mat_mul(ki, _mat_mul(self.e_mats[j], kiv))
-                if not _mat_is_zero(_mat_sub(
-                        lhs, _mat_scale(self.e_mats[j], Scalar.q_power(p)))):
-                    raise AssertionError("k-e relation fails")
-                lhs = _mat_mul(ki, _mat_mul(self.f_mats[j], kiv))
-                if not _mat_is_zero(_mat_sub(
-                        lhs, _mat_scale(self.f_mats[j],
-                                        Scalar.q_power(-p)))):
-                    raise AssertionError("k-f relation fails")
-                # e_i f_j - f_j e_i = delta_ij (k_i - k_i^{-1})/(q_i-q_i^{-1})
-                comm = _mat_sub(_mat_mul(self.e_mats[i], self.f_mats[j]),
-                                _mat_mul(self.f_mats[j], self.e_mats[i]))
+                for name, cols, want in (("k-e", e[j], p), ("k-f", f[j], -p)):
+                    for c, col in enumerate(cols):
+                        for r, x in col.items():
+                            got = kexp[i][r] - kexp[i][c]
+                            if got != want:
+                                self._relation_fails(
+                                    name, i, j, r, c,
+                                    x * Scalar.q_power(got),
+                                    x * Scalar.q_power(want))
+                # e_i f_j = f_j e_i + delta_ij (k_i - k_i^-1)/(q_i - q_i^-1)
+                for c in range(dim):
+                    lhs = _apply(e[i], f[j][c])
+                    rhs = _apply(f[j], e[i][c])
+                    if i == j:
+                        rhs[c] = rhs.get(c, ZERO) - _commutator_coeff(
+                            kexp[i][c], ct.qi(i))
+                    self._compare("e-f", i, j, c, lhs, rhs)
                 if i == j:
-                    d = ct.qi(i)
-                    den = (Scalar.q_power(d) - Scalar.q_power(-d)).inverse()
-                    comm = _mat_sub(comm, _mat_scale(_mat_sub(ki, kiv), den))
-                if not _mat_is_zero(comm):
-                    raise AssertionError("e-f relation fails")
-                # Serre relations
-                if i != j:
-                    n = 1 - ct.a[i][j]
-                    se = _zeros(self.dim, self.dim)
-                    sf = _zeros(self.dim, self.dim)
-                    for r in range(n + 1):
-                        sgn = Scalar.from_int((-1) ** r)
-                        term = _mat_mul(e_div[i][r],
-                                        _mat_mul(self.e_mats[j],
-                                                 e_div[i][n - r]))
-                        se = _mat_sub(se, _mat_scale(term, -sgn))
-                        term = _mat_mul(f_div[i][r],
-                                        _mat_mul(self.f_mats[j],
-                                                 f_div[i][n - r]))
-                        sf = _mat_sub(sf, _mat_scale(term, -sgn))
-                    if not (_mat_is_zero(se) and _mat_is_zero(sf)):
-                        raise AssertionError("Serre relation fails")
+                    continue
+                # Serre: sum_r (-1)^r X_i^(r) X_j X_i^(n-r) = 0, as the sum
+                # over even r against the sum over odd r
+                n = 1 - ct.a[i][j]
+                for name, gens, divs in (("e-Serre", e, e_div),
+                                         ("f-Serre", f, f_div)):
+                    for c in range(dim):
+                        sides = ({}, {})
+                        for r in range(n + 1):
+                            v = (_apply(gens[j], divs[i][n - r][c]) if n - r
+                                 else gens[j][c])
+                            if r:
+                                v = _apply(divs[i][r], v)
+                            acc = sides[r % 2]
+                            for row, x in v.items():
+                                acc[row] = acc[row] + x if row in acc else x
+                        self._compare(name, i, j, c, *sides)
+
+    def _compare(self, name, i, j, col, lhs, rhs):
+        """Raise for the first row where the columns lhs and rhs (dicts
+        row -> Scalar) of relation name differ."""
+        for row in sorted(set(lhs) | set(rhs)):
+            if lhs.get(row, ZERO) != rhs.get(row, ZERO):
+                self._relation_fails(name, i, j, row, col,
+                                     lhs.get(row, ZERO), rhs.get(row, ZERO))
+
+    def _relation_fails(self, name, i, j, row, col, lhs, rhs):
+        raise AssertionError(
+            "%s module of lowest weight %s: %s relation fails for i=%d, "
+            "j=%d at (row %d, col %d): %s != %s"
+            % (self.ct.name, self.lam, name, i + 1, j + 1, row, col,
+               lhs, rhs))
 
     # -- action of algebra elements, matrix coefficients --------------------
 

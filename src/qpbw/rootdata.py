@@ -249,24 +249,26 @@ def weights_of_height(ct: CartanType, h):
 
 def kostant_count(ct: CartanType, gamma) -> int:
     """Number of ways to write gamma as a nonneg sum of positive roots."""
+    return _kostant(ct, 0, tuple(gamma))
+
+
+@lru_cache(maxsize=None)
+def _kostant(ct: CartanType, idx, rem) -> int:
+    """Ways to write rem as a nonneg sum of the positive roots from index
+    idx on; one memo shared by every kostant_count call."""
+    if all(c == 0 for c in rem):
+        return 1
     roots = ct.pos_roots
-
-    @lru_cache(maxsize=None)
-    def count(idx, rem):
-        if all(c == 0 for c in rem):
-            return 1
-        if idx == len(roots):
-            return 0
-        beta = roots[idx]
-        total = 0
-        k = 0
-        while all(rem[t] - k * beta[t] >= 0 for t in range(len(rem))):
-            total += count(idx + 1,
-                           tuple(rem[t] - k * beta[t] for t in range(len(rem))))
-            k += 1
-        return total
-
-    return count(0, tuple(gamma))
+    if idx == len(roots):
+        return 0
+    beta = roots[idx]
+    total = 0
+    k = 0
+    while all(rem[t] - k * beta[t] >= 0 for t in range(len(rem))):
+        total += _kostant(ct, idx + 1,
+                          tuple(rem[t] - k * beta[t] for t in range(len(rem))))
+        k += 1
+    return total
 
 
 def weyl_dimension(ct: CartanType, lam) -> int:

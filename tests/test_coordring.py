@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 import time
 
 import pytest
@@ -10,13 +11,14 @@ import pytest
 from qpbw import coordring
 from qpbw.coordring import (_SUB_FORMS, MatCoef, _apply_leg, _form_words,
                             _identity, _mat_inverse, _mat_mul, _verma_f,
-                            act_on_tensor, act_row_on_tensor, build_irrep,
-                            fundamental_modules, verify_intertwiner)
+                            _zeros, act_on_tensor, act_row_on_tensor,
+                            build_irrep, fundamental_modules,
+                            verify_intertwiner)
 from qpbw.fock import FockVector
 from qpbw.pairing import words_of_weight
 from qpbw.pbw import indices_of_weight
 from qpbw.rootdata import CartanType, all_reduced_words, weights_of_height
-from qpbw.scalars import Scalar
+from qpbw.scalars import ZERO, Scalar
 from qpbw.uqcore import UElement
 
 ONE = Scalar.from_int(1)
@@ -358,3 +360,196 @@ def test_wrong_form_fails_fast_at_the_weyl_dimension(monkeypatch):
     finally:
         for memo in memos:
             memo.cache_clear()
+
+
+def test_dimension_bound_names_the_module():
+    with pytest.raises(ValueError, match=r"G2 module of lowest weight "
+                       r"\(-2, -2\) has Weyl dimension 729, above "
+                       r"LWModule.MAX_DIM = 64"):
+        build_irrep(CartanType("G2"), (-2, -2))
+
+
+def test_form_is_symmetric():
+    # _select_words computes only the column of each candidate word and
+    # reads the row as its transpose
+    for name, lam in (("A2", (-2, -2)), ("B2", (0, -3)), ("G2", (0, -1)),
+                      ("A3", (0, -1, 0))):
+        ct = CartanType(name)
+        V = build_irrep(ct, lam)
+        _SUB_FORMS[ct.name, lam] = {}
+        try:
+            for gamma in V.weights:
+                words = words_of_weight(ct, gamma)
+                for n, a in enumerate(words):
+                    for w in words[n + 1:]:
+                        assert _form_words(ct, lam, a, w) == \
+                            _form_words(ct, lam, w, a), (name, lam, a, w)
+        finally:
+            del _SUB_FORMS[ct.name, lam]
+
+
+# -- the relation check against the dense reference --------------------------
+
+def _dense_check_relations(V):
+    # the dense dim x dim check that the sparse one replaced; divided powers
+    # read coordring.qfact, so a patched qfact reaches both checks
+    def sub(a, b):
+        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    def scale(a, s):
+        return [[x * s for x in row] for row in a]
+
+    def is_zero(a):
+        return all(x.is_zero() for row in a for x in row)
+
+    ct, dim = V.ct, V.dim
+    top = max((1 - ct.a[i][j] for i in range(ct.rank)
+               for j in range(ct.rank) if i != j), default=0)
+    divs = []
+    for mats in (V.e_mats, V.f_mats):
+        out = []
+        for i, m in enumerate(mats):
+            power, row = _identity(dim), []
+            for n in range(top + 1):
+                if n:
+                    power = _mat_mul(m, power)
+                row.append(scale(power,
+                                 coordring.qfact(n, ct.qi(i)).inverse()))
+            out.append(row)
+        divs.append(out)
+    e_div, f_div = divs
+    for i in range(ct.rank):
+        ki, kiv = V.k_matrix(i), V.k_matrix(i, -1)
+        for j in range(ct.rank):
+            p = ct.form[i][j]
+            for name, m, s in (("k-e", V.e_mats[j], p),
+                               ("k-f", V.f_mats[j], -p)):
+                lhs = _mat_mul(ki, _mat_mul(m, kiv))
+                if not is_zero(sub(lhs, scale(m, Scalar.q_power(s)))):
+                    raise AssertionError("%s relation fails" % name)
+            comm = sub(_mat_mul(V.e_mats[i], V.f_mats[j]),
+                       _mat_mul(V.f_mats[j], V.e_mats[i]))
+            if i == j:
+                d = ct.qi(i)
+                den = (Scalar.q_power(d) - Scalar.q_power(-d)).inverse()
+                comm = sub(comm, scale(sub(ki, kiv), den))
+            if not is_zero(comm):
+                raise AssertionError("e-f relation fails")
+            if i != j:
+                n = 1 - ct.a[i][j]
+                for mats, div in ((V.e_mats, e_div), (V.f_mats, f_div)):
+                    acc = _zeros(dim, dim)
+                    for r in range(n + 1):
+                        term = _mat_mul(div[i][r],
+                                        _mat_mul(mats[j], div[i][n - r]))
+                        acc = sub(acc, scale(term, Scalar.from_int(
+                            -(-1) ** r)))
+                    if not is_zero(acc):
+                        raise AssertionError("Serre relation fails")
+
+
+def _first_nonzero(m):
+    for c in range(len(m)):
+        for r in range(len(m)):
+            if not m[r][c].is_zero():
+                return r, c
+
+
+def _move_e_entry(V):
+    r, c = _first_nonzero(V.e_mats[0])
+    V.e_mats[0][r + 1][c], V.e_mats[0][r][c] = V.e_mats[0][r][c], ZERO
+
+
+def _zero_f_entry(V):
+    r, c = _first_nonzero(V.f_mats[0])
+    V.f_mats[0][r][c] = ZERO
+
+
+def _e_entry_times_q(V):
+    r, c = _first_nonzero(V.e_mats[0])
+    V.e_mats[0][r][c] = V.e_mats[0][r][c] * Scalar.q_power(1)
+
+
+def _negate_e(V):
+    V.e_mats[0] = [[-x for x in row] for row in V.e_mats[0]]
+
+
+def _unscale_qfact(monkeypatch):
+    real = coordring.qfact
+    monkeypatch.setattr(coordring, "qfact", lambda n, d=1: real(n))
+
+
+def _family(message):
+    name = re.search(r"(\S+) relation fails", message).group(1)
+    return "Serre" if name.endswith("Serre") else name
+
+
+def _verdicts(V):
+    out = []
+    for check in (V._check_relations, lambda: _dense_check_relations(V)):
+        try:
+            check()
+            out.append(None)
+        except AssertionError as exc:
+            out.append(_family(str(exc)))
+    return out
+
+
+def test_sparse_relation_check_agrees_with_the_dense_one(monkeypatch):
+    modules = (("A2", (-1, 0)), ("A2", (0, -1)), ("B2", (-1, 0)),
+               ("B2", (0, -1)), ("A3", (-1, 0, 0)), ("A3", (0, -1, 0)),
+               ("A3", (0, 0, -1)), ("G2", (0, -1)), ("A2", (-1, -1)),
+               ("B2", (-1, -1)), ("A2", (-2, -2)), ("B2", (0, -3)),
+               ("G2", (-1, 0)))
+    for name, lam in modules:
+        assert _verdicts(build_irrep(CartanType(name), lam)) == [None, None]
+    mutants = ((_move_e_entry, "k-e"), (_zero_f_entry, "e-f"),
+               (_e_entry_times_q, "e-f"), (_negate_e, "e-f"))
+    for name, lam in (("A2", (-1, -1)), ("B2", (0, -1)), ("G2", (0, -1))):
+        for mutate, family in mutants:
+            V = build_irrep(CartanType(name), lam)
+            mutate(V)
+            assert _verdicts(V) == [family, family], (name, lam, mutate)
+    # a wrong divided-power normalization: the B2 fundamentals and G2
+    # (0,-1) satisfy the Serre relations either way; of the fundamental
+    # modules only the G2 adjoint (-1,0) sees it
+    modules = [build_irrep(CartanType(name), lam) for name, lam in
+               (("B2", (-1, 0)), ("B2", (0, -1)), ("B2", (-1, -1)),
+                ("B2", (0, -3)), ("G2", (-1, 0)), ("G2", (0, -1)))]
+    _unscale_qfact(monkeypatch)
+    assert [_verdicts(V) for V in modules] == \
+        [[None, None]] * 2 + [["Serre", "Serre"]] * 3 + [[None, None]]
+
+
+def _mutated_build(monkeypatch, mutate):
+    real = coordring.LWModule._build_matrices
+
+    def build(self):
+        real(self)
+        mutate(self)
+
+    monkeypatch.setattr(coordring.LWModule, "_build_matrices", build)
+
+
+def test_k_relation_failure_names_the_entry(monkeypatch):
+    _mutated_build(monkeypatch, _move_e_entry)
+    with pytest.raises(AssertionError, match=re.escape(
+            "A2 module of lowest weight (-1, -1): k-e relation fails for "
+            "i=1, j=1 at (row 3, col 0): q != q^2")):
+        build_irrep(CartanType("A2"), (-1, -1))
+
+
+def test_e_f_relation_failure_names_the_entry(monkeypatch):
+    _mutated_build(monkeypatch, _zero_f_entry)
+    with pytest.raises(AssertionError, match=re.escape(
+            "B2 module of lowest weight (0, -1): e-f relation fails for "
+            "i=1, j=1 at (row 1, col 1): 0 != -1")):
+        build_irrep(CartanType("B2"), (0, -1))
+
+
+def test_serre_relation_failure_names_the_entry(monkeypatch):
+    _unscale_qfact(monkeypatch)
+    with pytest.raises(AssertionError, match=re.escape(
+            "B2 module of lowest weight (0, -3): e-Serre relation fails for "
+            "i=1, j=2 at (row 9, col 1): q/(q^2 + 1) != q^2/(q^4 + 1)")):
+        build_irrep(CartanType("B2"), (0, -3))

@@ -1,5 +1,7 @@
 """Cartan data, reduced words, and root sequences."""
 
+from functools import lru_cache
+
 import pytest
 
 from qpbw.rootdata import (CartanType, all_reduced_words, exponent_weight,
@@ -121,6 +123,37 @@ def test_kostant_count():
     assert kostant_count(a2, a2.alpha(0)) == 1
     assert kostant_count(a2, alpha(a2, 0, 1)) == 2
     assert kostant_count(a2, alpha(a2, 0, 0, 1, 1)) == 3
+
+
+def _kostant_per_call(ct, gamma):
+    # reference: a fresh memo for every call
+    roots = ct.pos_roots
+
+    @lru_cache(maxsize=None)
+    def count(idx, rem):
+        if all(c == 0 for c in rem):
+            return 1
+        if idx == len(roots):
+            return 0
+        beta = roots[idx]
+        total = 0
+        k = 0
+        while all(rem[t] - k * beta[t] >= 0 for t in range(len(rem))):
+            total += count(idx + 1, tuple(rem[t] - k * beta[t]
+                                          for t in range(len(rem))))
+            k += 1
+        return total
+
+    return count(0, tuple(gamma))
+
+
+def test_kostant_count_shared_memo_matches_per_call_recursion():
+    for name in ("A1", "A2", "A3", "B2", "G2"):
+        ct = CartanType(name)
+        for h in range(7):
+            for ga in weights_of_height(ct, h):
+                assert kostant_count(ct, ga) == _kostant_per_call(ct, ga), \
+                    (name, ga)
 
 
 def test_word_serialization():
