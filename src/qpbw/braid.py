@@ -271,28 +271,6 @@ def apply_word(ct, kind, word, x: UElement, inverse=False) -> UElement:
     return x
 
 
-def validate_inverses(ct: CartanType):
-    """Round-trip check of the inverse tables modulo the Serre ideal;
-    raises ValueError naming the operator, i, j and the generator.  The
-    memos of monomial images (both values of plus) and of integral
-    generator images are dropped first, so the check sees the tables as
-    they are now."""
-    from .pairing import eq_mod_serre
-    _int_images.clear()
-    _int_tables.clear()
-    for i in range(ct.rank):
-        for j in range(ct.rank):
-            for side, gen in (("e", UElement.e(ct, j)),
-                              ("f", UElement.f(ct, j))):
-                for kind, fwd, inv in (("dot", t_dot, t_dot_inv),
-                                       ("hat", t_hat, t_hat_inv)):
-                    if not eq_mod_serre(inv(ct, i, fwd(ct, i, gen)), gen):
-                        raise ValueError(
-                            "%s: T_%s^-1 T_%s (%s_%d) != %s_%d for i=%d, "
-                            "j=%d" % (ct.name, kind, kind, side, j + 1,
-                                      side, j + 1, i + 1, j + 1))
-
-
 def project_plus(x: UElement) -> UElement:
     """Component of x in U^+ of the triangular normal form; agrees with x
     modulo the Serre ideal whenever x is known to lie in U^+."""

@@ -466,7 +466,8 @@ def suite_decomp(types=("A2", "B2", "G2"), height=4):
 def suite_koy(types=("A2", "B2"), height=3, d_reading="qi"):
     """Kostant index counts up to max(height, COUNT_HEIGHT), 3 in place of
     COUNT_HEIGHT on A3; transition round trips and module basis-change
-    round trips up to height."""
+    round trips up to height, the latter failing under the qi reading
+    when an entry they read is not in Z[q]."""
     cases = []
     for name in types:
         ct = CartanType(name)
@@ -506,18 +507,44 @@ def suite_koy(types=("A2", "B2"), height=3, d_reading="qi"):
                             out["witness"] = dict(src=list(n), **bad)
                             break
                     cases.append(out)
-        # module-level basis change round trips on basis vectors
+        # module-level basis change round trips on basis vectors; under the
+        # qi reading every entry a round trip reads must lie in Z[q]
         wa, wb = words[0], words[1]
         for ga in _weights_up_to(ct, height):
             for n in pbw.indices_of_weight(ct, "ehat", wa, ga):
                 v = fock.FockVector.basis(ct, wa, n)
-                rt = fock.koy_transform(
-                    ct, wb, wa,
-                    fock.koy_transform(ct, wa, wb, v, d_reading, 20),
-                    d_reading, 20)
-                cases.append(_fock_case("koy round trip %s n=%s"
-                                        % (ct.name, list(n)), rt, v))
+                there = fock.koy_transform(ct, wa, wb, v, d_reading, 20)
+                rt = fock.koy_transform(ct, wb, wa, there, d_reading, 20)
+                check = "koy round trip %s n=%s" % (ct.name, list(n))
+                case = _fock_case(check, rt, v)
+                if case["pass"] and d_reading == "qi":
+                    bad = _entry_outside_zq(ct, wa, wb, ga, n, there)
+                    if bad:
+                        case = {"check": check, "pass": False,
+                                "witness": bad}
+                cases.append(case)
     return cases
+
+
+def _entry_outside_zq(ct, wa, wb, gamma, n, there):
+    """The first basis-change entry read by the round trip of p(n) through
+    `there` (its image along wb) that is not in Z[q], as a witness, or
+    None: the entries of row n from wa to wb, then those of each row n'
+    of `there` back from wb to wa."""
+    rows = [(wa, wb, n, there.terms)]
+    for n2 in sorted(there.terms):
+        back = fock.koy_transform(ct, wb, wa,
+                                  fock.FockVector.basis(ct, wb, n2), "qi", 20)
+        rows.append((wb, wa, n2, back.terms))
+    for src, dst, m, terms in rows:
+        for m2 in sorted(terms):
+            entry = terms[m2]
+            if entry.den != {0: 1}:
+                return {"type": ct.name,
+                        "words": [format_word(src), format_word(dst)],
+                        "weight": list(gamma), "n": list(m),
+                        "n'": list(m2), "entry": str(entry)}
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -56,30 +56,6 @@ def _zeros(nrow, ncol):
     return [[ZERO] * ncol for _ in range(nrow)]
 
 
-def _identity(n):
-    m = _zeros(n, n)
-    for i in range(n):
-        m[i][i] = ONE
-    return m
-
-
-def _mat_mul(a, b):
-    nrow, mid, ncol = len(a), len(b), len(b[0]) if b else 0
-    out = _zeros(nrow, ncol)
-    for i in range(nrow):
-        ai = a[i]
-        for k in range(mid):
-            c = ai[k]
-            if c.is_zero():
-                continue
-            bk = b[k]
-            row = out[i]
-            for j in range(ncol):
-                if not bk[j].is_zero():
-                    row[j] = row[j] + c * bk[j]
-    return out
-
-
 def _dot(a, b):
     total = ZERO
     for x, y in zip(a, b):
@@ -364,12 +340,6 @@ class LWModule:
             raise ValueError("non-integral pairing")
         return int(val)
 
-    def k_matrix(self, i, power=1):
-        m = _zeros(self.dim, self.dim)
-        for n in range(self.dim):
-            m[n][n] = Scalar.q_power(power * self.k_exponent(i, n))
-        return m
-
     def _check_relations(self):
         """Check the generator matrices against every defining relation of
         U_q: k-e, k-f, e-f and both Serre families.  The dense matrices are
@@ -500,19 +470,6 @@ class MatCoef:
             v = self.module.act_mono(mono, self.col)
             if self.row in v:
                 total = total + c * v[self.row]
-        return total
-
-    def eval_product(self, other: "MatCoef", x) -> Scalar:
-        """Value of the product (self * other) on x, through the coproduct
-        <phi psi, x> = sum <phi, x_(0)> <psi, x_(1)>."""
-        total = ZERO
-        for (m1, m2), c in x.coproduct().terms.items():
-            v1 = self.module.act_mono(m1, self.col)
-            if self.row not in v1:
-                continue
-            v2 = other.module.act_mono(m2, other.col)
-            if other.row in v2:
-                total = total + c * v1[self.row] * v2[other.row]
         return total
 
     def __repr__(self):

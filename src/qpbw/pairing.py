@@ -177,7 +177,3 @@ def canonical_coords(x: UElement) -> dict:
 def eq_mod_serre(x: UElement, y: UElement) -> bool:
     """Equality in U_q(g) proper (i.e. modulo the quantum Serre relations)."""
     return canonical_coords(x - y) == {}
-
-
-def is_zero_mod_serre(x: UElement) -> bool:
-    return canonical_coords(x) == {}

@@ -45,9 +45,13 @@ k-part, which the store checks once per block.
 Weight blocks are kept in one process-wide store: the integral dual hat
 monomials that pbw_coords pairs against, the rows of each transition block
 and each block of e_i structure constants are computed on first request
-and shared by every later one for the life of the process.  Stored blocks
-are returned as they are, so callers must not mutate them; clear_store()
-drops them all.
+and shared by every later one for the life of the process.  The fock layer
+keeps its blocks here too: the module basis-change blocks, and per (type,
+word) the u-basis straightening table from which the qi reading reads both
+the basis change and the ladder operator (the q reading alone keeps
+transition entries times d-ratios).  Stored blocks are returned as they
+are, so callers must not mutate them; clear_store() drops them all, the
+tables included.
 """
 
 from __future__ import annotations

@@ -385,9 +385,6 @@ class Scalar:
     def is_zero(self):
         return not self.num
 
-    def is_one(self):
-        return self.num == {0: 1} and self.den == {0: 1}
-
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other):
         n1, n2 = self.num, other.num

@@ -94,3 +94,12 @@ def test_c10_g2_koy_conj1():
     conj1 = cli.suite_conj1(types=("G2",), height=4)
     assert (len(koy), len(conj1)) == (86, 59)
     _report("C10 G2 koy/conj1", koy + conj1, time.time() - t, 10)
+
+
+def test_c11_g2_oracle_height_2():
+    # the G2 oracle two heights up: 1715 decisions, every matrix coefficient
+    # checked; the qi koy blocks come from the division-free u-basis table
+    t = time.time()
+    res = cli.suite_oracle(types=(("G2", 2),))
+    assert [(r["decisions"], r["phi_checked"]) for r in res] == [(1715, 245)]
+    _report("C11 G2 oracle h<=2", res, time.time() - t, 20)

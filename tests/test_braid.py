@@ -11,6 +11,28 @@ from qpbw.scalars import Scalar
 from qpbw.uqcore import UElement
 
 
+def validate_inverses(ct):
+    """Round-trip check of the inverse tables modulo the Serre ideal;
+    raises ValueError naming the operator, i, j and the generator.  The
+    memos of monomial images (both values of plus) and of integral
+    generator images are dropped first, so the check sees the tables as
+    they are now."""
+    braid._int_images.clear()
+    braid._int_tables.clear()
+    for i in range(ct.rank):
+        for j in range(ct.rank):
+            for side, gen in (("e", UElement.e(ct, j)),
+                              ("f", UElement.f(ct, j))):
+                for kind, fwd, inv in (
+                        ("dot", braid.t_dot, braid.t_dot_inv),
+                        ("hat", braid.t_hat, braid.t_hat_inv)):
+                    if not eq_mod_serre(inv(ct, i, fwd(ct, i, gen)), gen):
+                        raise ValueError(
+                            "%s: T_%s^-1 T_%s (%s_%d) != %s_%d for i=%d, "
+                            "j=%d" % (ct.name, kind, kind, side, j + 1,
+                                      side, j + 1, i + 1, j + 1))
+
+
 def test_tdot_on_its_own_index():
     ct = CartanType("A2")
     got = braid.t_dot(ct, 0, UElement.e(ct, 0))
@@ -42,7 +64,7 @@ def test_braid_on_k():
 
 def test_inverse_tables_roundtrip():
     for name in ("A1", "A2", "A3", "B2", "G2"):
-        braid.validate_inverses(CartanType(name))
+        validate_inverses(CartanType(name))
 
 
 def test_inverse_examples():
@@ -244,10 +266,10 @@ def test_validate_inverses_names_a_corrupted_entry():
     tab[key] = saved + UElement.e(ct, 0)
     try:
         with pytest.raises(ValueError, match=r"T_hat.*e_1.*i=2, j=1"):
-            braid.validate_inverses(ct)
+            validate_inverses(ct)
     finally:
         tab[key] = saved
-    braid.validate_inverses(ct)
+    validate_inverses(ct)
 
 
 def _apply_letter_by_letter(ct, kind, i, x, plus):
@@ -347,14 +369,14 @@ def test_plus_and_full_images_do_not_share_memo_entries(plus_first):
 
 def test_restored_table_entry_is_not_shadowed_by_derived_tables():
     ct = CartanType("G2")
-    braid.validate_inverses(ct)
+    validate_inverses(ct)
     tab = braid._gen_table(ct, "dot")
     key = (0, "e", 1)
     saved = tab[key]
     tab[key] = saved.scale(Scalar.q_power(1))
     try:
         with pytest.raises(ValueError, match=r"T_dot.*e_2.*i=1, j=2"):
-            braid.validate_inverses(ct)
+            validate_inverses(ct)
         cases = cli.suite_braid(types=("G2",), n_random=0)
         failed = [c for c in cases if not c["pass"]]
         assert len(failed) == 4
@@ -363,6 +385,6 @@ def test_restored_table_entry_is_not_shadowed_by_derived_tables():
             "witness": {"coord": "f1*k[1,0]", "diff": "-q^3"}}
     finally:
         tab[key] = saved
-    braid.validate_inverses(ct)
+    validate_inverses(ct)
     cases = cli.suite_braid(types=("G2",), n_random=0)
     assert len(cases) == 12 and all(c["pass"] for c in cases)

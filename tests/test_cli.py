@@ -369,6 +369,30 @@ def test_koy_round_trips_reach_the_requested_height():
     assert len(trips) == want and all(c["pass"] for c in trips)
 
 
+def test_koy_round_trip_fails_on_an_entry_outside_zq(monkeypatch):
+    # blocks from the first word scaled by 1/q and blocks back by q keep
+    # every round trip, so only the Z[q] check of the qi reading can fail
+    ct = CartanType("A2")
+    wa, wb = sorted(all_reduced_words(ct, ct.longest_word()))
+    right_block = fock._koy_block
+
+    def scaled_block(ct, from_word, to_word, gamma, d_reading):
+        s = Scalar.q_power(-1 if from_word == wa else 1)
+        return {n: {m: c * s for m, c in row.items()} for n, row
+                in right_block(ct, from_word, to_word, gamma,
+                               d_reading).items()}
+
+    monkeypatch.setattr(fock, "_koy_block", scaled_block)
+    trips = [c for c in cli.suite_koy(("A2",), 1)
+             if c["check"].startswith("koy round trip")]
+    assert len(trips) == 2 and not any(c["pass"] for c in trips)
+    assert trips[0]["witness"] == {
+        "type": "A2", "words": ["1,2,1", "2,1,2"], "weight": [0, 1],
+        "n": [0, 0, 1], "n'": [1, 0, 0], "entry": "1/q"}
+    # the q reading is not integral, and is not checked
+    assert all(c["pass"] for c in cli.suite_koy(("A2",), 1, "q"))
+
+
 def test_koy_and_conj1_failures_carry_witnesses(capsys, monkeypatch):
     # scale one side by q: the witness is the first basis vector, with the
     # value of each side

@@ -5,7 +5,8 @@ import pytest
 from qpbw import fock, pbw
 from qpbw.fock import FockVector, TruncationError, conj1_operator, \
     koy_transform, sigma_scalar, sl2_act
-from qpbw.rootdata import CartanType, all_reduced_words, exponent_weight
+from qpbw.rootdata import (CartanType, all_reduced_words, exponent_weight,
+                           weights_of_height)
 from qpbw.scalars import Scalar
 
 ONE = Scalar.from_int(1)
@@ -13,6 +14,10 @@ ONE = Scalar.from_int(1)
 
 def basis(ct, word, exps):
     return FockVector.basis(ct, word, tuple(exps))
+
+
+def vacuum(ct, word):
+    return FockVector.basis(ct, word, (0,) * len(word))
 
 
 def test_sl2_action_rules():
@@ -47,7 +52,7 @@ def test_sl2_qi_scaling():
     word = tuple(sorted(all_reduced_words(ct, ct.longest_word()))[0])
     i = word[0]
     d = ct.qi(i)
-    v = FockVector.vacuum(ct, word)
+    v = vacuum(ct, word)
     got = fock.leg_act(ct, "c", 0, v)
     assert got == v.scale(-Scalar.q_power(d))
 
@@ -57,8 +62,8 @@ def test_koy_transform_identity_and_vacuum():
     wa, wb = sorted(all_reduced_words(ct, ct.longest_word()))
     v = basis(ct, wa, (1, 0, 1))
     assert koy_transform(ct, wa, wa, v) == v
-    vac = FockVector.vacuum(ct, wa)
-    assert koy_transform(ct, wa, wb, vac) == FockVector.vacuum(ct, wb)
+    vac = vacuum(ct, wa)
+    assert koy_transform(ct, wa, wb, vac) == vacuum(ct, wb)
 
 
 def test_koy_transform_roundtrip():
@@ -84,7 +89,7 @@ def test_sigma_scalar():
     word = (0,)
     v = basis(ct, word, (3,))
     assert sigma_scalar(ct, (0,), v) == v
-    vac = FockVector.vacuum(ct, word)
+    vac = vacuum(ct, word)
     assert sigma_scalar(ct, (5,), vac) == vac
     # lambda = -antifundamental: q^{n (pi_1, alpha_1)} with (pi_1, alpha_1)=1
     assert sigma_scalar(ct, (-1,), v) == v.scale(Scalar.q_power(3))
@@ -92,7 +97,7 @@ def test_sigma_scalar():
 
 def test_conj1_vacuum_a1():
     ct = CartanType("A1")
-    vac = FockVector.vacuum(ct, (0,))
+    vac = vacuum(ct, (0,))
     got = conj1_operator(ct, (0,), 0, vac)
     # c_{0,1} = 1 and d(0)/d(1) = 1/(1-q^2)
     want = basis(ct, (0,), (1,)).scale(
@@ -179,3 +184,88 @@ def test_d_word_inverse_is_kept_next_to_the_constant():
                 inv = fock.d_word_inverse(ct, word, n, reading)
                 assert d * inv == Scalar.from_int(1)
                 assert inv is fock.d_word_inverse(ct, word, n, reading)
+
+
+# -- the u-basis table against transition x d-ratio ------------------------
+
+def _ratio_rows(ct, from_word, to_word, gamma):
+    """The reference qi koy block: ehat transition entries times
+    d(n) / d(n'), with the transition from the pairing engine."""
+    out = {}
+    for n, row in pbw.transition_matrix(ct, "ehat", from_word, to_word,
+                                        gamma).items():
+        dn = fock.d_word_const(ct, from_word, n, "qi")
+        out[n] = {n2: a * dn / fock.d_word_const(ct, to_word, n2, "qi")
+                  for n2, a in row.items()}
+    return out
+
+
+def _ladder_rows(ct, word, i, gamma):
+    """The reference qi conj1 rows: emul_constants times d(n) / d(n')."""
+    out = {n: {} for n in pbw.indices_of_weight(ct, "ehat", word, gamma)}
+    for (n, n2), c in pbw.emul_constants(ct, word, i, gamma).items():
+        out[n][n2] = (c * fock.d_word_const(ct, word, n, "qi")
+                      / fock.d_word_const(ct, word, n2, "qi"))
+    return out
+
+
+def _words(name):
+    ct = CartanType(name)
+    return ct, sorted(all_reduced_words(ct, ct.longest_word()))
+
+
+def _assert_koy_blocks_match(ct, pairs, height):
+    for from_word, to_word in pairs:
+        for h in range(height + 1):
+            for gamma in weights_of_height(ct, h):
+                got = fock._koy_block(ct, from_word, to_word, gamma, "qi")
+                want = _ratio_rows(ct, from_word, to_word, gamma)
+                assert got == want, (ct.name, from_word, to_word, gamma)
+
+
+@pytest.mark.parametrize("name,height", [("A2", 6), ("B2", 5), ("G2", 4)])
+def test_u_table_koy_blocks_equal_transition_times_d_ratio(name, height):
+    ct, (wa, wb) = _words(name)
+    _assert_koy_blocks_match(ct, ((wa, wb), (wb, wa)), height)
+
+
+def test_u_table_koy_blocks_equal_transition_times_d_ratio_a3():
+    ct, words = _words("A3")
+    assert len(words) == 16
+    _assert_koy_blocks_match(ct, [(words[0], w) for w in words[1:]], 3)
+
+
+@pytest.mark.parametrize("name,height", [("A2", 4), ("B2", 4), ("G2", 4),
+                                         ("A3", 3)])
+def test_u_table_ladder_rows_equal_emul_constants_times_d_ratio(name,
+                                                               height):
+    ct, words = _words(name)
+    for word in words[:3]:
+        for i in range(ct.rank):
+            for h in range(height + 1):
+                for gamma in weights_of_height(ct, h):
+                    for n, want in _ladder_rows(ct, word, i, gamma).items():
+                        got = conj1_operator(ct, word, i, basis(ct, word, n),
+                                             height=height + 1)
+                        assert got.terms == want, (name, word, i, n)
+
+
+def test_u_table_constant_outside_its_slots_is_named(monkeypatch):
+    ct, (word, _) = _words("A2")
+    table = fock._UTable(ct, word)
+    bad = {(0, 0, 1): Scalar.from_int(1)}
+    monkeypatch.setattr(fock, "pbw_coords", lambda *args: bad)
+    with pytest.raises(ValueError, match=r"s=1, r=3 at the monomial "
+                       r"\[0, 0, 1\] is outside"):
+        table.constants(0, 2)
+    bad = {(0, 1, 0): Scalar({0: 1}, {0: 2})}
+    with pytest.raises(ValueError, match=r"s=1, r=3 at the monomial "
+                       r"\[0, 1, 0\] is not a Laurent"):
+        table.constants(0, 2)
+
+
+def test_conj1_needs_alpha_i_among_the_prefix_roots():
+    ct = CartanType("A2")
+    # the prefix roots of (1, 2) are alpha_1 and alpha_1 + alpha_2
+    with pytest.raises(ValueError, match="no prefix root of .* is alpha_2"):
+        conj1_operator(ct, (0, 1), 1, vacuum(ct, (0, 1)))

@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from qpbw import pbw
-from qpbw.coordring import (_identity, _mat_inverse, _mat_mul, _strings,
-                            fundamental_modules)
+from qpbw.coordring import _mat_inverse, _strings, fundamental_modules
 from qpbw.linalg import kernel, rank, solve_linear
 from qpbw.pairing import canonical_coords, words_of_weight
 from qpbw.rootdata import (CartanType, all_reduced_words, kostant_count,
                            weights_of_height)
 from qpbw.scalars import ONE, ZERO, Scalar
 
+from dense_matrices import identity, mat_mul
 from tau_reference import tau_words_ref
 
 
@@ -73,7 +73,7 @@ def _old_solve_linear(columns, targets):
 
 def _old_mat_inverse(a):
     n = len(a)
-    aug = [list(row) + list(idrow) for row, idrow in zip(a, _identity(n))]
+    aug = [list(row) + list(idrow) for row, idrow in zip(a, identity(n))]
     for col in range(n):
         piv = next((r for r in range(col, n) if not aug[r][col].is_zero()),
                    None)
@@ -269,6 +269,6 @@ def test_random_matrices_against_sympy(a):
     kern = kernel(columns)
     assert r + len(kern) == ncol
     for vec in kern:
-        assert _mat_mul(a, [[x] for x in vec]) == [[ZERO]] * len(a)
+        assert mat_mul(a, [[x] for x in vec]) == [[ZERO]] * len(a)
     if r == ncol == len(a):
-        assert _mat_mul(_mat_inverse(a), a) == _identity(ncol)
+        assert mat_mul(_mat_inverse(a), a) == identity(ncol)

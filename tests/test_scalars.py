@@ -49,7 +49,7 @@ def test_qbinom_pascal():
 
 
 def test_c_const_values():
-    assert c_const(0).is_one()
+    assert c_const(0) == one
     dq = Scalar.q_power(1) - Scalar.q_power(-1)
     assert c_const(1) == dq.inverse()
     want = lp({1: 1, -1: 1}) * Scalar.q_power(-1) * (dq * dq).inverse()
@@ -57,7 +57,7 @@ def test_c_const_values():
 
 
 def test_d_const_values():
-    assert d_const(0).is_one()
+    assert d_const(0) == one
     assert d_const(1) == lp({0: 1, 2: -1})
     rev = Scalar.q_power(-1) - Scalar.q_power(1)
     assert d_const(2) == Scalar.q_power(3) * rev * rev
