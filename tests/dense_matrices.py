@@ -2,15 +2,12 @@
 of the tests: products, identities and the diagonal k_i action of a
 lowest-weight module.  The program itself works on sparse columns."""
 
-from qpbw.scalars import ONE, ZERO, Scalar
-
-
-def zeros(nrow, ncol):
-    return [[ZERO] * ncol for _ in range(nrow)]
+from qpbw.coordring import _zeros
+from qpbw.scalars import ONE, Scalar
 
 
 def identity(n):
-    m = zeros(n, n)
+    m = _zeros(n, n)
     for i in range(n):
         m[i][i] = ONE
     return m
@@ -18,7 +15,7 @@ def identity(n):
 
 def mat_mul(a, b):
     nrow, mid, ncol = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(nrow, ncol)
+    out = _zeros(nrow, ncol)
     for i in range(nrow):
         ai = a[i]
         for k in range(mid):
@@ -35,7 +32,7 @@ def mat_mul(a, b):
 
 def k_matrix(V, i, power=1):
     """The diagonal matrix of k_i^power on the module V."""
-    m = zeros(V.dim, V.dim)
+    m = _zeros(V.dim, V.dim)
     for n in range(V.dim):
         m[n][n] = Scalar.q_power(power * V.k_exponent(i, n))
     return m
