@@ -463,9 +463,20 @@ def suite_decomp(types=("A2", "B2", "G2"), height=4):
 # ---------------------------------------------------------------------------
 # transition / koy suite
 
+def _guarded(check, decide):
+    """decide(), or a failed case named check whose witness is the message
+    of a ValueError raised while deciding it, such as a fault found in the
+    u-basis table or a TruncationError."""
+    try:
+        return decide()
+    except ValueError as exc:
+        return {"check": check, "pass": False, "witness": {"error": str(exc)}}
+
+
 def suite_koy(types=("A2", "B2"), height=3, d_reading="qi"):
     """Kostant index counts up to max(height, COUNT_HEIGHT), 3 in place of
-    COUNT_HEIGHT on A3; transition round trips and module basis-change
+    COUNT_HEIGHT on A3; transition round trips, failing also when an ehat
+    entry they read is not a Laurent polynomial, and module basis-change
     round trips up to height, the latter failing under the qi reading
     when an entry they read is not in Z[q]."""
     cases = []
@@ -489,41 +500,60 @@ def suite_koy(types=("A2", "B2"), height=3, d_reading="qi"):
                 if wa == wb:
                     continue
                 for ga in _weights_up_to(ct, height):
-                    fwd = pbw.transition_matrix(ct, "ehat", wa, wb, ga)
-                    bwd = pbw.transition_matrix(ct, "ehat", wb, wa, ga)
-                    out = {"check": "round trip %s %s<->%s at %s"
-                           % (ct.name, format_word(wa), format_word(wb),
-                              list(ga)), "pass": True}
-                    for n in sorted(fwd):
-                        acc = {}
-                        for n2, c in fwd[n].items():
-                            for n3, c2 in bwd[n2].items():
-                                acc[n3] = acc.get(n3, ZERO) + c * c2
-                        got = fock.FockVector(ct, wa, acc)
-                        bad = _fock_witness(
-                            got, fock.FockVector.basis(ct, wa, n))
-                        if bad:
-                            out["pass"] = False
-                            out["witness"] = dict(src=list(n), **bad)
-                            break
-                    cases.append(out)
+                    cases.append(_transition_round_trip(ct, wa, wb, ga))
         # module-level basis change round trips on basis vectors; under the
         # qi reading every entry a round trip reads must lie in Z[q]
         wa, wb = words[0], words[1]
         for ga in _weights_up_to(ct, height):
             for n in pbw.indices_of_weight(ct, "ehat", wa, ga):
-                v = fock.FockVector.basis(ct, wa, n)
-                there = fock.koy_transform(ct, wa, wb, v, d_reading, 20)
-                rt = fock.koy_transform(ct, wb, wa, there, d_reading, 20)
                 check = "koy round trip %s n=%s" % (ct.name, list(n))
-                case = _fock_case(check, rt, v)
-                if case["pass"] and d_reading == "qi":
-                    bad = _entry_outside_zq(ct, wa, wb, ga, n, there)
-                    if bad:
-                        case = {"check": check, "pass": False,
-                                "witness": bad}
-                cases.append(case)
+                cases.append(_guarded(check, lambda: _koy_round_trip(
+                    ct, wa, wb, ga, n, check, d_reading)))
     return cases
+
+
+def _transition_round_trip(ct, wa, wb, ga):
+    """The ehat transition from wa to wb and back at weight ga is the
+    identity, and every entry it reads is a Laurent polynomial."""
+    fwd = pbw.transition_matrix(ct, "ehat", wa, wb, ga)
+    bwd = pbw.transition_matrix(ct, "ehat", wb, wa, ga)
+    out = {"check": "round trip %s %s<->%s at %s"
+           % (ct.name, format_word(wa), format_word(wb), list(ga)),
+           "pass": True}
+    for n in sorted(fwd):
+        acc = {}
+        for n2, c in fwd[n].items():
+            for n3, c2 in bwd[n2].items():
+                acc[n3] = acc.get(n3, ZERO) + c * c2
+        bad = _fock_witness(fock.FockVector(ct, wa, acc),
+                            fock.FockVector.basis(ct, wa, n))
+        if bad:
+            out["pass"] = False
+            out["witness"] = dict(src=list(n), **bad)
+            return out
+    read = sorted({n2 for row in fwd.values() for n2 in row})
+    bad = _first_bad_entry(
+        ct, ga, [(wa, wb, n, fwd[n]) for n in sorted(fwd)]
+        + [(wb, wa, n2, bwd[n2]) for n2 in read],
+        lambda c: list(c.den.values()) == [1])
+    if bad:
+        out["pass"] = False
+        out["witness"] = bad
+    return out
+
+
+def _koy_round_trip(ct, wa, wb, ga, n, check, d_reading):
+    """p(n) along wa taken to wb and back is p(n), and under the qi reading
+    every entry the round trip reads is in Z[q]."""
+    v = fock.FockVector.basis(ct, wa, n)
+    there = fock.koy_transform(ct, wa, wb, v, d_reading, 20)
+    rt = fock.koy_transform(ct, wb, wa, there, d_reading, 20)
+    case = _fock_case(check, rt, v)
+    if case["pass"] and d_reading == "qi":
+        bad = _entry_outside_zq(ct, wa, wb, ga, n, there)
+        if bad:
+            case = {"check": check, "pass": False, "witness": bad}
+    return case
 
 
 def _entry_outside_zq(ct, wa, wb, gamma, n, there):
@@ -536,10 +566,17 @@ def _entry_outside_zq(ct, wa, wb, gamma, n, there):
         back = fock.koy_transform(ct, wb, wa,
                                   fock.FockVector.basis(ct, wb, n2), "qi", 20)
         rows.append((wb, wa, n2, back.terms))
+    return _first_bad_entry(ct, gamma, rows, lambda c: c.den == {0: 1})
+
+
+def _first_bad_entry(ct, gamma, rows, ok):
+    """The first entry c with not ok(c) of the rows (src, dst, n, {n': c})
+    at weight gamma, in the order given and by n' within a row, as a
+    witness, or None."""
     for src, dst, m, terms in rows:
         for m2 in sorted(terms):
             entry = terms[m2]
-            if entry.den != {0: 1}:
+            if not ok(entry):
                 return {"type": ct.name,
                         "words": [format_word(src), format_word(dst)],
                         "weight": list(gamma), "n": list(m),
@@ -562,31 +599,40 @@ def suite_conj1(types=("A2", "B2"), height=3, d_reading="qi"):
             for i in range(ct.rank):
                 for ga in _weights_up_to(ct, height):
                     for n in pbw.indices_of_weight(ct, "ehat", base, ga):
-                        v = fock.FockVector.basis(ct, base, n)
-                        lhs = fock.koy_transform(
-                            ct, base, other,
-                            fock.conj1_operator(ct, base, i, v, d_reading,
-                                                inner),
-                            d_reading, inner)
-                        rhs = fock.conj1_operator(
-                            ct, other, i,
-                            fock.koy_transform(ct, base, other, v, d_reading,
-                                               inner),
-                            d_reading, inner)
-                        cases.append(_fock_case(
-                            "conj1 %s i=%d n=%s via %s"
-                            % (ct.name, i + 1, list(n), format_word(other)),
-                            lhs, rhs))
+                        check = ("conj1 %s i=%d n=%s via %s"
+                                 % (ct.name, i + 1, list(n),
+                                    format_word(other)))
+                        cases.append(_guarded(check, lambda: _conj1_case(
+                            ct, base, other, i, n, check, d_reading,
+                            inner)))
     a1 = CartanType("A1")
     for n in range(LADDER_TOP + 1):
-        v = fock.FockVector.basis(a1, (0,), (n,))
-        got = fock.conj1_operator(a1, (0,), 0, v, d_reading, n + 2)
-        den = Scalar.q_power(n + 2) - Scalar.q_power(n)
-        want = fock.FockVector.basis(a1, (0,), (n + 1,)).scale(
-            -den.inverse())
-        cases.append({"check": "A1 ladder n=%d" % n, "pass": got == want,
-                      "got": repr(got)})
+        cases.append(_guarded("A1 ladder n=%d" % n,
+                              lambda: _ladder_case(a1, n, d_reading)))
     return cases
+
+
+def _conj1_case(ct, base, other, i, n, check, d_reading, inner):
+    """conj1_i then the basis change from base to other equals the basis
+    change then conj1_i along other, on p(n) along base."""
+    v = fock.FockVector.basis(ct, base, n)
+    lhs = fock.koy_transform(
+        ct, base, other, fock.conj1_operator(ct, base, i, v, d_reading, inner),
+        d_reading, inner)
+    rhs = fock.conj1_operator(
+        ct, other, i, fock.koy_transform(ct, base, other, v, d_reading, inner),
+        d_reading, inner)
+    return _fock_case(check, lhs, rhs)
+
+
+def _ladder_case(a1, n, d_reading):
+    """conj1 on p(n) of the A1 module is -p(n+1) / (q^{n+2} - q^n)."""
+    v = fock.FockVector.basis(a1, (0,), (n,))
+    got = fock.conj1_operator(a1, (0,), 0, v, d_reading, n + 2)
+    den = Scalar.q_power(n + 2) - Scalar.q_power(n)
+    want = fock.FockVector.basis(a1, (0,), (n + 1,)).scale(-den.inverse())
+    return {"check": "A1 ladder n=%d" % n, "pass": got == want,
+            "got": repr(got)}
 
 
 # ---------------------------------------------------------------------------
@@ -678,24 +724,30 @@ def suite_sl2(max_n=10):
 
 def suite_oracle(types=(("A2", 3),), d_reading="qi"):
     """Intertwiner check of the basis-change operator against the tensor
-    module built from matrix coefficients."""
-    cases = []
-    for name, height in types:
-        ct = CartanType(name)
-        words = sorted(all_reduced_words(ct, ct.longest_word()))
-        report = coordring.verify_intertwiner(ct, words[0], words[1],
-                                              height, d_reading)
-        bad = [r for r in report if not r["pass"]]
-        out = {"check": "oracle %s h<=%d (%d cases, %s reading)"
-               % (ct.name, height, len(report), d_reading),
-               "pass": not bad,
-               "decisions": len(report),
-               "phi_checked": len({r["phi"] for r in report}),
-               "phi_failed": len({r["phi"] for r in bad})}
-        if bad:
-            out["witness"] = bad[0]
-        cases.append(out)
-    return cases
+    module built from matrix coefficients, one case per type."""
+    return [_guarded("oracle %s h<=%d (%s reading)" % (name, height,
+                                                       d_reading),
+                     lambda: _oracle_case(CartanType(name), height,
+                                          d_reading))
+            for name, height in types]
+
+
+def _oracle_case(ct, height, d_reading):
+    """The intertwiner report between the first two reduced words of w0 up
+    to height, as one case counting its decisions."""
+    words = sorted(all_reduced_words(ct, ct.longest_word()))
+    report = coordring.verify_intertwiner(ct, words[0], words[1], height,
+                                          d_reading)
+    bad = [r for r in report if not r["pass"]]
+    out = {"check": "oracle %s h<=%d (%d cases, %s reading)"
+           % (ct.name, height, len(report), d_reading),
+           "pass": not bad,
+           "decisions": len(report),
+           "phi_checked": len({r["phi"] for r in report}),
+           "phi_failed": len({r["phi"] for r in bad})}
+    if bad:
+        out["witness"] = bad[0]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,18 +17,22 @@ constants d(n), and the transported right-e_i operator is right
 multiplication by e_i in the same basis.  The substitution performed inside
 d(n) (plain q versus q_i) is selectable; see D_READINGS.
 
-Under the qi reading both are read off one straightening table per (type,
-word) in the module basis u_n = d(n) ehat^(n) (see _UTable): its slot
-factors are plain powers, so every product is an integer exponent map found
-without division, and each entry becomes a Scalar once.  The q reading
-alone keeps the d-ratio path, transition entries (resp. e_i structure
-constants) times d(n) / d(n'): it is the refuted control, and its entries
-are not Laurent polynomials, so it has no such table.
+Both are read off one straightening table per (type, word) in the module
+basis u_n = d(n) ehat^(n) of the qi reading (see _UTable): its slot factors
+are plain powers, so every product is an integer exponent map found without
+division, and each entry becomes a Scalar once.  The readings differ only
+in d(n), so the q reading is the qi one conjugated by the diagonal map
+p(n) -> rho(n) p(n), rho(n) = d^q(n) / d^qi(n) (1 on simply-laced types):
+the input is scaled by rho along the source word, the qi rows are applied
+and the output is divided by rho along the target word (see _apply_rows).
+The q reading is the refuted control; its entries are not Laurent
+polynomials.
 """
 
 from __future__ import annotations
 
 from .braid import root_vector
+# emul_constants, transition_matrix: uncalled, kept for perfbench's tracer
 from .pbw import (emul_constants, indices_of_weight, pbw_coords,
                   stored_block, transition_matrix)
 from .rootdata import CartanType, exponent_weight, prefix_roots
@@ -82,9 +86,9 @@ def d_word_const(ct: CartanType, word, n, d_reading: str) -> Scalar:
 
 
 def d_word_inverse(ct: CartanType, word, n, d_reading: str) -> Scalar:
-    """1 / d_word_const, kept next to it, so the d-ratios of the q reading
-    (and, under the qi reading, of the u-table's constants and root-vector
-    expansions only) are products rather than divisions."""
+    """1 / d_word_const, kept next to it, so the d-ratios of the u-table's
+    constants and root-vector expansions, and the rescale rho of the q
+    reading, are products rather than divisions."""
     return _d_word(ct, word, n, d_reading)[1]
 
 
@@ -198,7 +202,7 @@ def leg_act(ct, g, r, v: FockVector) -> FockVector:
     return FockVector(ct, v.word, terms)
 
 
-# -- the u-basis table (qi reading) -----------------------------------------
+# -- the u-basis table -----------------------------------------------------
 #
 # Along a word w, with d(n) = d_word_const(ct, w, n, "qi"), the module basis
 # u_n = d(n) ehat^(n) has plain-power slot factors: with d_r = d_{i_r} and
@@ -422,58 +426,67 @@ def _u_table(ct: CartanType, word) -> _UTable:
                         lambda: _UTable(ct, word))
 
 
-def _ratio_block(ct, from_word, to_word, gamma, d_reading):
-    """Rows {n: {n': a_{nn'} d_j(n) / d_i(n')}} of the basis change at
-    weight gamma from the ehat transition block (the q reading)."""
-    out = {}
-    for n, row in transition_matrix(ct, "ehat", from_word, to_word,
-                                    gamma).items():
-        dn = d_word_const(ct, from_word, n, d_reading)
-        out[n] = {n2: a * dn * d_word_inverse(ct, to_word, n2, d_reading)
-                  for n2, a in row.items()}
-    return out
-
-
-def _koy_block(ct, from_word, to_word, gamma, d_reading):
-    """Rows {n: {n': Scalar}} of the basis change at weight gamma, kept in
-    the PBW block store per reading: under the qi reading the rows of the
-    u-basis table along to_word, each entry made a Scalar once; under the
-    q reading transition entries times d-ratios."""
+def _koy_block(ct, from_word, to_word, gamma):
+    """Rows {n: {n': Scalar}} of the qi basis change at weight gamma, kept
+    in the PBW block store: the rows of the u-basis table along to_word,
+    each entry made a Scalar once."""
     def build():
-        if d_reading != "qi":
-            return _ratio_block(ct, from_word, to_word, gamma, d_reading)
         table = _u_table(ct, to_word)
         return {n: {n2: _laurent(p) for n2, p
                     in sorted(table.row(from_word, n).items())}
                 for n in indices_of_weight(ct, "ehat", from_word, gamma)}
-    return stored_block(("koy", ct.name, from_word, to_word, gamma,
-                         d_reading), build)
+    return stored_block(("koy", ct.name, from_word, to_word, gamma), build)
+
+
+def _rescale(ct, word, terms, d_reading, back=False):
+    """{n: c rho(n)} for terms {n: c} along the word, {n: c / rho(n)} if
+    back, where rho(n) = d(n) / d^qi(n) with d(n) under the reading: the
+    identity under the qi reading."""
+    if d_reading == "qi":
+        return terms
+    out = {}
+    for n, c in terms.items():
+        d, inv = _d_word(ct, word, n, d_reading)
+        d_qi, inv_qi = _d_word(ct, word, n, "qi")
+        out[n] = c * (inv * d_qi if back else d * inv_qi)
+    return out
+
+
+def _apply_rows(ct, src, dst, v: FockVector, rows, d_reading):
+    """sum_n c_n rows(n) for v = sum_n c_n p(n) along src, with rows(n) the
+    qi row {n': Scalar} along dst, conjugated into the reading: v scaled
+    by rho along src before, the image divided by rho along dst after."""
+    terms = {}
+    for n, c in _rescale(ct, src, v.terms, d_reading).items():
+        for n2, a in rows(n).items():
+            coeff = c * a
+            if n2 in terms:
+                terms[n2] = terms[n2] + coeff
+            else:
+                terms[n2] = coeff
+    return FockVector(ct, dst, _rescale(ct, dst, terms, d_reading, True))
 
 
 def koy_transform(ct: CartanType, from_word, to_word, v: FockVector,
                   d_reading: str = "qi", height=None) -> FockVector:
     """Express v (living on from_word) in the basis along to_word:
 
-        p_j(n) = sum_{n'} a_{n'} (d_j(n) / d_i(n')) p_i(n'),
+        p_j(n) = sum_{n'} a_{nn'} (d_j(n) / d_i(n')) p_i(n'),
 
-    where the a_{n'} come from the hat-family transition matrix."""
+    where the a_{nn'} come from the hat-family transition matrix.  The qi
+    entries are the rows of the u-basis table along to_word; the q reading
+    conjugates them by rho = d^q / d^qi (see _apply_rows)."""
     from_word, to_word = tuple(from_word), tuple(to_word)
     if v.word != from_word:
         raise ValueError("vector does not live on the source word")
     _check_height(ct, v, height)
     if from_word == to_word:
         return v
-    terms = {}
-    for n, c in v.terms.items():
+
+    def rows(n):
         gamma = exponent_weight(ct, from_word, n, "prefix")
-        rows = _koy_block(ct, from_word, to_word, gamma, d_reading)
-        for n2, a in rows[n].items():
-            coeff = c * a
-            if n2 in terms:
-                terms[n2] = terms[n2] + coeff
-            else:
-                terms[n2] = coeff
-    return FockVector(ct, to_word, terms)
+        return _koy_block(ct, from_word, to_word, gamma)[n]
+    return _apply_rows(ct, from_word, to_word, v, rows, d_reading)
 
 
 def sigma_scalar(ct: CartanType, lam, v: FockVector) -> FockVector:
@@ -489,19 +502,6 @@ def sigma_scalar(ct: CartanType, lam, v: FockVector) -> FockVector:
     return FockVector(ct, v.word, terms)
 
 
-def _ladder_row(ct, word, i, n, d_reading):
-    """{n': c_{nn'} d(n) / d(n')}: from the u-basis table under the qi
-    reading, from the e_i structure constants times d-ratios under the q
-    reading."""
-    if d_reading == "qi":
-        return _u_table(ct, word).ladder_row(n, i)
-    gamma = exponent_weight(ct, word, n, "prefix")
-    dn = d_word_const(ct, word, n, d_reading)
-    return {n2: cc * dn * d_word_inverse(ct, word, n2, d_reading)
-            for (n0, n2), cc in emul_constants(ct, word, i, gamma).items()
-            if n0 == n}
-
-
 def conj1_operator(ct: CartanType, word, i: int, v: FockVector,
                    d_reading: str = "qi", height=None) -> FockVector:
     """The transported right-e_i operator on the module along the word:
@@ -509,19 +509,15 @@ def conj1_operator(ct: CartanType, word, i: int, v: FockVector,
         p_i(n) -> sum_{n'} c_{nn'} (d(n) / d(n')) p_i(n'),
 
     with c_{nn'} the structure constants of right e_i-multiplication in the
-    hat basis.  Raises TruncationError if the image leaves the bound."""
+    hat basis.  The qi entries are the ladder rows of the u-basis table;
+    the q reading conjugates them by rho = d^q / d^qi (see _apply_rows).
+    Raises TruncationError if the image leaves the bound."""
     word = tuple(word)
     if v.word != word:
         raise ValueError("vector does not live on the word")
     bound = _check_height(ct, v, height)
-    terms = {}
-    for n, c in v.terms.items():
-        for n2, a in _ladder_row(ct, word, i, n, d_reading).items():
-            coeff = c * a
-            if n2 in terms:
-                terms[n2] = terms[n2] + coeff
-            else:
-                terms[n2] = coeff
-    out = FockVector(ct, word, terms)
+    table = _u_table(ct, word)
+    out = _apply_rows(ct, word, word, v, lambda n: table.ladder_row(n, i),
+                      d_reading)
     _check_height(ct, out, bound)
     return out

@@ -47,9 +47,10 @@ monomials that pbw_coords pairs against, the rows of each transition block
 and each block of e_i structure constants are computed on first request
 and shared by every later one for the life of the process.  The fock layer
 keeps its blocks here too: the module basis-change blocks, and per (type,
-word) the u-basis straightening table from which the qi reading reads both
-the basis change and the ladder operator (the q reading alone keeps
-transition entries times d-ratios).  Stored blocks are returned as they
+word) the u-basis straightening table from which both readings read the
+basis change and the ladder operator (the q reading rescales the qi
+entries by d-ratios as it applies them, and stores nothing of its own).
+Stored blocks are returned as they
 are, so callers must not mutate them; clear_store() drops them all, the
 tables included.
 """

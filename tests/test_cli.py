@@ -12,7 +12,7 @@ import pytest
 from qpbw import braid, cli, coordring, fock, pbw, uqcore
 from qpbw.rootdata import (CartanType, all_reduced_words, kostant_count,
                            weights_of_height)
-from qpbw.scalars import ONE, ZERO, Scalar
+from qpbw.scalars import ONE, ZERO, Scalar, d_const, qfact
 from qpbw.uqcore import UElement, UTensor, _add_term, mono_str
 
 
@@ -376,11 +376,10 @@ def test_koy_round_trip_fails_on_an_entry_outside_zq(monkeypatch):
     wa, wb = sorted(all_reduced_words(ct, ct.longest_word()))
     right_block = fock._koy_block
 
-    def scaled_block(ct, from_word, to_word, gamma, d_reading):
+    def scaled_block(ct, from_word, to_word, gamma):
         s = Scalar.q_power(-1 if from_word == wa else 1)
         return {n: {m: c * s for m, c in row.items()} for n, row
-                in right_block(ct, from_word, to_word, gamma,
-                               d_reading).items()}
+                in right_block(ct, from_word, to_word, gamma).items()}
 
     monkeypatch.setattr(fock, "_koy_block", scaled_block)
     trips = [c for c in cli.suite_koy(("A2",), 1)
@@ -391,6 +390,56 @@ def test_koy_round_trip_fails_on_an_entry_outside_zq(monkeypatch):
         "n": [0, 0, 1], "n'": [1, 0, 0], "entry": "1/q"}
     # the q reading is not integral, and is not checked
     assert all(c["pass"] for c in cli.suite_koy(("A2",), 1, "q"))
+
+
+def test_transition_round_trip_fails_on_an_entry_outside_laurent(
+        monkeypatch):
+    # blocks from the first word scaled by 1/(1+q) and blocks back by 1+q
+    # keep every round trip, so only the Laurent check can fail
+    ct = CartanType("A2")
+    wa, wb = sorted(all_reduced_words(ct, ct.longest_word()))
+    right_block = pbw.transition_matrix
+    one_plus_q = ONE + Scalar.q_power(1)
+
+    def scaled_block(ct, family, from_word, to_word, gamma):
+        s = one_plus_q.inverse() if tuple(from_word) == wa else one_plus_q
+        return {n: {m: c * s for m, c in row.items()} for n, row
+                in right_block(ct, family, from_word, to_word,
+                               gamma).items()}
+
+    monkeypatch.setattr(pbw, "transition_matrix", scaled_block)
+    cases = cli.suite_koy(("A2",), 1)
+    trips = [c for c in cases if c["check"].startswith("round trip")]
+    # both orders of the two words, at both weights of height 1
+    assert len(trips) == 4 and not any(c["pass"] for c in trips)
+    assert trips[0]["witness"] == {
+        "type": "A2", "words": ["1,2,1", "2,1,2"], "weight": [0, 1],
+        "n": [0, 0, 1], "n'": [1, 0, 0], "entry": "1/(q + 1)"}
+    # from the second word, the entry is read on the way back
+    assert trips[2]["witness"] == trips[0]["witness"]
+    assert all(c["pass"] for c in cases if c not in trips)
+
+
+@pytest.mark.parametrize("suite,height", [("koy", 4), ("conj1", 3),
+                                          ("oracle", 2)])
+def test_a_fault_in_the_u_table_fails_a_case(capsys, monkeypatch, suite,
+                                             height):
+    # q_i read as q in the first factor of d_i(n): along 1,2,1,2 the
+    # commutation constant of slots 2 and 4 is then not Laurent
+    monkeypatch.setattr(fock, "d_i_const", lambda ct, i, n, d_reading:
+                        d_const(n, 1) * qfact(n, ct.qi(i)))
+    monkeypatch.setattr(pbw, "_store", {})
+    monkeypatch.setattr(fock, "_D_WORD", {})
+    code, out, err = run(["verify", suite, "--type", "B2", "--height",
+                          str(height), "--format", "json"], capsys)
+    assert code == 1 and err == ""
+    errors = [case["witness"]["error"] for case in json.loads(out)["failures"]
+              if "error" in case["witness"]]
+    assert errors
+    for error in errors:
+        assert error == ("B2 along [1, 0, 1, 0]: the commutation constant "
+                         "of slots s=2, r=4 at the monomial [0, 0, 2, 0] "
+                         "is not a Laurent polynomial")
 
 
 def test_koy_and_conj1_failures_carry_witnesses(capsys, monkeypatch):

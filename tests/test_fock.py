@@ -187,25 +187,29 @@ def test_d_word_inverse_is_kept_next_to_the_constant():
 
 
 # -- the u-basis table against transition x d-ratio ------------------------
+#
+# Each reading is checked in a loop over D_READINGS: the q reading is the qi
+# table conjugated by rho = d^q / d^qi, and the references below divide by
+# d(n') directly.
 
-def _ratio_rows(ct, from_word, to_word, gamma):
-    """The reference qi koy block: ehat transition entries times
+def _ratio_rows(ct, from_word, to_word, gamma, reading):
+    """The reference koy block: ehat transition entries times
     d(n) / d(n'), with the transition from the pairing engine."""
     out = {}
     for n, row in pbw.transition_matrix(ct, "ehat", from_word, to_word,
                                         gamma).items():
-        dn = fock.d_word_const(ct, from_word, n, "qi")
-        out[n] = {n2: a * dn / fock.d_word_const(ct, to_word, n2, "qi")
+        dn = fock.d_word_const(ct, from_word, n, reading)
+        out[n] = {n2: a * dn / fock.d_word_const(ct, to_word, n2, reading)
                   for n2, a in row.items()}
     return out
 
 
-def _ladder_rows(ct, word, i, gamma):
-    """The reference qi conj1 rows: emul_constants times d(n) / d(n')."""
+def _ladder_rows(ct, word, i, gamma, reading):
+    """The reference conj1 rows: emul_constants times d(n) / d(n')."""
     out = {n: {} for n in pbw.indices_of_weight(ct, "ehat", word, gamma)}
     for (n, n2), c in pbw.emul_constants(ct, word, i, gamma).items():
-        out[n][n2] = (c * fock.d_word_const(ct, word, n, "qi")
-                      / fock.d_word_const(ct, word, n2, "qi"))
+        out[n][n2] = (c * fock.d_word_const(ct, word, n, reading)
+                      / fock.d_word_const(ct, word, n2, reading))
     return out
 
 
@@ -218,9 +222,14 @@ def _assert_koy_blocks_match(ct, pairs, height):
     for from_word, to_word in pairs:
         for h in range(height + 1):
             for gamma in weights_of_height(ct, h):
-                got = fock._koy_block(ct, from_word, to_word, gamma, "qi")
-                want = _ratio_rows(ct, from_word, to_word, gamma)
-                assert got == want, (ct.name, from_word, to_word, gamma)
+                for reading in fock.D_READINGS:
+                    for n, want in _ratio_rows(ct, from_word, to_word, gamma,
+                                               reading).items():
+                        got = koy_transform(ct, from_word, to_word,
+                                            basis(ct, from_word, n), reading,
+                                            height)
+                        assert got.terms == want, (ct.name, from_word,
+                                                   to_word, n, reading)
 
 
 @pytest.mark.parametrize("name,height", [("A2", 6), ("B2", 5), ("G2", 4)])
@@ -244,10 +253,14 @@ def test_u_table_ladder_rows_equal_emul_constants_times_d_ratio(name,
         for i in range(ct.rank):
             for h in range(height + 1):
                 for gamma in weights_of_height(ct, h):
-                    for n, want in _ladder_rows(ct, word, i, gamma).items():
-                        got = conj1_operator(ct, word, i, basis(ct, word, n),
-                                             height=height + 1)
-                        assert got.terms == want, (name, word, i, n)
+                    for reading in fock.D_READINGS:
+                        for n, want in _ladder_rows(ct, word, i, gamma,
+                                                    reading).items():
+                            got = conj1_operator(ct, word, i,
+                                                 basis(ct, word, n), reading,
+                                                 height + 1)
+                            assert got.terms == want, (name, word, i, n,
+                                                       reading)
 
 
 def test_u_table_constant_outside_its_slots_is_named(monkeypatch):
