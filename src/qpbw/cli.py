@@ -891,8 +891,12 @@ def cmd_transition(args):
                   file=sys.stderr)
             return 2
     else:
-        weights = _weights_up_to(ct, 3 if args.height is None
-                                 else args.height)
+        height = 3 if args.height is None else args.height
+        weights = _weights_up_to(ct, height)
+        if not weights:
+            print("transition on %s has no weight block at height %d: "
+                  "nothing was emitted" % (ct.name, height), file=sys.stderr)
+            return 2
     blocks = [_matrix_json(ct, family, from_word, to_word, ga)
               for ga in weights]
     if args.format == "json":

@@ -30,9 +30,11 @@ with the r-th tensor leg restricted to the subalgebra generated by
 e_{i_r}, f_{i_r}, k_{i_r}^{+-1}.  The restricted leg is rewritten as a
 polynomial in the four rank-1 matrix coefficients a, b, c, d (those of
 the 2-dimensional module, embedded through copies of it for longer
-strings) and applied slotwise through the rank-1 Fock rules.  A whole row
+strings).  Each letter maps a slot vector p_i(k) to a multiple of one
+p_i(k'), so a leg is a matrix on the slot exponent, k -> {k': Scalar},
+read once off the rank-1 Fock rules and memoized per module.  A whole row
 Phi_{s,0}, ..., Phi_{s,dim-1} is applied at once, slot by slot: after
-slot r one vector per intermediate index j_r is kept, so a row costs at
+slot r one term dict per intermediate index j_r is kept, so a row costs at
 most m dim^2 leg applications instead of dim^{m-1} paths per coefficient.
 The oracle takes the basis change of each basis vector once and applies
 the rows of every module to it.
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .fock import FockVector, koy_transform, leg_act
+from .fock import FockVector, _leg_act, koy_transform
 from .pairing import words_of_weight
 from .linalg import kernel, solve_linear
 from .pbw import indices_of_weight
@@ -192,6 +194,7 @@ class LWModule:
         self._check_relations()
         self._string_cache = {}
         self._leg_cache = {}
+        self._leg_mats = {}
 
     # -- construction ------------------------------------------------------
 
@@ -589,16 +592,27 @@ def _leg_poly(V: LWModule, i, u, w):
     return poly
 
 
-def _apply_leg(V: LWModule, i, u, w, slot, vec: FockVector) -> FockVector:
-    out = FockVector.zero(vec.ct, vec.word)
-    for c, word in _leg_poly(V, i, u, w):
-        piece = vec
-        for g in reversed(word):
-            piece = leg_act(vec.ct, g, slot, piece)
-            if piece.is_zero():
-                break
-        else:
-            out = out + piece.scale(c)
+def _leg_matrix(V: LWModule, i, u, w, k):
+    """Phi_{u,w} restricted to the rank-1 subalgebra at i, on the slot
+    vector p_i(k), as {k': nonzero Scalar}: each letter maps p_i(k) to a
+    multiple of one p_i(k'), so every (c, word) of _leg_poly contributes c
+    times the product of its letters' coefficients, applied right to left;
+    a word that reaches zero contributes nothing."""
+    key = (i, u, w, k)
+    out = V._leg_mats.get(key)
+    if out is None:
+        acc = {}
+        for c, word in _leg_poly(V, i, u, w):
+            n = k
+            for g in reversed(word):
+                coeff, n = _leg_act(V.ct, g, i, n)
+                if coeff is None:
+                    break
+                c = c * coeff
+            else:
+                acc[n] = acc[n] + c if n in acc else c
+        out = V._leg_mats[key] = {n: c for n, c in acc.items()
+                                  if not c.is_zero()}
     return out
 
 
@@ -610,23 +624,34 @@ def act_row_on_tensor(V: LWModule, row, word, v: FockVector):
         nxt[j] = sum_u leg_{u,j}(cur[u]),    starting from cur = {row: v},
 
     which regroups the sum over paths j_1 ... j_{m-1} exactly, since each
-    leg is linear and legs on different slots commute."""
+    leg is linear and legs on different slots commute.  A leg acts on slot
+    r alone, through its memoized matrix on the slot exponent
+    (_leg_matrix), so the vectors are kept as plain term dicts and only
+    the returned row is made of FockVectors."""
     word = tuple(word)
     if v.word != word:
         raise ValueError("vector does not live on the word")
     if not word:
         raise ValueError("empty word")
-    cur = {row: v}
+    cur = {row: v.terms}
     for r, i in enumerate(word):
         nxt = {}
-        for u, vec in cur.items():
+        for u, terms in cur.items():
             for j in range(V.dim):
-                piece = _apply_leg(V, i, u, j, r, vec)
-                if not piece.is_zero():
-                    nxt[j] = nxt[j] + piece if j in nxt else piece
-        cur = nxt
-    zero = FockVector.zero(v.ct, word)
-    return [cur.get(t, zero) for t in range(V.dim)]
+                if not _leg_poly(V, i, u, j):
+                    continue
+                acc = nxt.setdefault(j, {})
+                for n, c in terms.items():
+                    for k, a in _leg_matrix(V, i, u, j, n[r]).items():
+                        n2 = n[:r] + (k,) + n[r + 1:]
+                        x = c * a
+                        acc[n2] = acc[n2] + x if n2 in acc else x
+        cur = {}
+        for j, acc in nxt.items():
+            acc = {n: c for n, c in acc.items() if not c.is_zero()}
+            if acc:
+                cur[j] = acc
+    return [FockVector(v.ct, word, cur.get(t, {})) for t in range(V.dim)]
 
 
 def act_on_tensor(phi: MatCoef, word, v: FockVector) -> FockVector:

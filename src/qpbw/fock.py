@@ -51,13 +51,17 @@ class TruncationError(ValueError):
     """A module computation produced a term beyond the height bound."""
 
 
+def _check_reading(d_reading: str):
+    if d_reading not in D_READINGS:
+        raise ValueError("unknown d-reading %r" % d_reading)
+
+
 def d_i_const(ct: CartanType, i: int, n: int, d_reading: str) -> Scalar:
     """The normalizing constant tying the slot basis to divided powers:
     q^{n(n+1)/2} (q^{-1}-q)^n [n]!, matching the pairing constant
     (-1)^n q^n [n]! of the dual model against the orthogonality constant
     c(n)/[n]! of the divided-power bases."""
-    if d_reading not in D_READINGS:
-        raise ValueError("unknown d-reading %r" % d_reading)
+    _check_reading(d_reading)
     d = ct.qi(i) if d_reading == "qi" else 1
     return d_const(n, d) * qfact(n, d)
 
@@ -475,7 +479,9 @@ def koy_transform(ct: CartanType, from_word, to_word, v: FockVector,
 
     where the a_{nn'} come from the hat-family transition matrix.  The qi
     entries are the rows of the u-basis table along to_word; the q reading
-    conjugates them by rho = d^q / d^qi (see _apply_rows)."""
+    conjugates them by rho = d^q / d^qi (see _apply_rows).  An unknown
+    reading raises ValueError, also when there is nothing to transform."""
+    _check_reading(d_reading)
     from_word, to_word = tuple(from_word), tuple(to_word)
     if v.word != from_word:
         raise ValueError("vector does not live on the source word")
@@ -511,7 +517,9 @@ def conj1_operator(ct: CartanType, word, i: int, v: FockVector,
     with c_{nn'} the structure constants of right e_i-multiplication in the
     hat basis.  The qi entries are the ladder rows of the u-basis table;
     the q reading conjugates them by rho = d^q / d^qi (see _apply_rows).
-    Raises TruncationError if the image leaves the bound."""
+    Raises TruncationError if the image leaves the bound, and ValueError
+    for an unknown reading, also on the zero vector."""
+    _check_reading(d_reading)
     word = tuple(word)
     if v.word != word:
         raise ValueError("vector does not live on the word")

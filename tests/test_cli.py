@@ -238,11 +238,27 @@ def test_height_zero_means_zero(capsys, monkeypatch):
     assert code == 0
     # only the generator pairings tau(e_i, f_j); no weight block is visited
     assert json.loads(out)["cases"] == 4
+    # transition has no weight block at height 0
     monkeypatch.setenv("QPBW_HEIGHT", "0")
+    code, out, err = run(["transition", "--type", "A2", "--from", "1,2,1",
+                          "--to", "2,1,2"], capsys)
+    assert code == 2 and not out
+    assert err == ("transition on A2 has no weight block at height 0: "
+                   "nothing was emitted\n")
+
+
+def test_transition_emitting_no_block_exits_2(capsys):
+    # an empty block list must not exit 0 like a full emission
+    for fmt in ("json", "text"):
+        code, out, err = run(["transition", "--type", "B2", "--from",
+                              "1,2,1,2", "--to", "2,1,2,1", "--height", "0",
+                              "--format", fmt], capsys)
+        assert code == 2 and not out
+        assert err == ("transition on B2 has no weight block at height 0: "
+                       "nothing was emitted\n")
     code, out, _ = run(["transition", "--type", "A2", "--from", "1,2,1",
-                        "--to", "2,1,2"], capsys)
-    assert code == 0
-    assert json.loads(out)["blocks"] == []
+                        "--to", "2,1,2", "--height", "1"], capsys)
+    assert code == 0 and len(json.loads(out)["blocks"]) == 2
 
 
 def test_verify_deciding_no_case_exits_2(capsys, monkeypatch):

@@ -9,11 +9,11 @@ import time
 import pytest
 
 from qpbw import coordring
-from qpbw.coordring import (_SUB_FORMS, MatCoef, _apply_leg, _form_words,
-                            _mat_inverse, _verma_f, _zeros, act_on_tensor,
-                            act_row_on_tensor, build_irrep,
+from qpbw.coordring import (_SUB_FORMS, MatCoef, _form_words, _leg_matrix,
+                            _leg_poly, _mat_inverse, _verma_f, _zeros,
+                            act_on_tensor, act_row_on_tensor, build_irrep,
                             fundamental_modules, verify_intertwiner)
-from qpbw.fock import FockVector
+from qpbw.fock import FockVector, leg_act
 from qpbw.pairing import words_of_weight
 from qpbw.pbw import indices_of_weight
 from qpbw.rootdata import CartanType, all_reduced_words, weights_of_height
@@ -159,9 +159,44 @@ def test_verify_intertwiner_a2_smoke():
     assert rep and all(r["pass"] for r in rep)
 
 
+def _apply_leg(V, i, u, w, slot, vec):
+    # reference leg: Phi_{u,w} restricted at i on the given slot, one
+    # FockVector per letter of each word of its a, b, c, d polynomial
+    out = FockVector.zero(vec.ct, vec.word)
+    for c, word in _leg_poly(V, i, u, w):
+        piece = vec
+        for g in reversed(word):
+            piece = leg_act(vec.ct, g, slot, piece)
+            if piece.is_zero():
+                break
+        else:
+            out = out + piece.scale(c)
+    return out
+
+
+def test_leg_matrix_matches_letter_by_letter_legs():
+    modules = [(name, lam) for name in ("A2", "B2", "G2")
+               for lam in ((-1, 0), (0, -1))]
+    modules += [("A3", lam) for lam in ((-1, 0, 0), (0, -1, 0),
+                                        (0, 0, -1))]
+    modules.append(("B2", (-1, -1)))
+    for name, lam in modules:
+        ct = CartanType(name)
+        V = build_irrep(ct, lam)
+        for i in range(ct.rank):
+            for u in range(V.dim):
+                for w in range(V.dim):
+                    for k in range(6):
+                        want = _apply_leg(V, i, u, w, 0,
+                                          FockVector.basis(ct, (i,), (k,)))
+                        got = _leg_matrix(V, i, u, w, k)
+                        assert {(n,): c for n, c in got.items()} \
+                            == want.terms, (name, lam, i, u, w, k)
+
+
 def _act_by_paths(phi, word, v):
     # reference: the iterated coproduct summed one path j_1 ... j_{m-1} at
-    # a time, one chain of legs per path
+    # a time, one chain of letter-by-letter legs per path
     V, m = phi.module, len(word)
 
     def rec(r, u, vec):
@@ -191,6 +226,7 @@ def _oracle_vectors(ct, word, height):
 def test_row_action_matches_the_per_path_sum():
     cases = [(name, lam, 2) for name in ("A2", "B2")
              for lam in ((-1, 0), (0, -1))] + [("A3", (-1, 0, 0), 0)]
+    cases += [("G2", lam, 0) for lam in ((-1, 0), (0, -1))]
     for name, lam, height in cases:
         ct = CartanType(name)
         V = build_irrep(ct, lam)

@@ -66,6 +66,22 @@ def test_koy_transform_identity_and_vacuum():
     assert koy_transform(ct, wa, wb, vac) == vacuum(ct, wb)
 
 
+def test_unknown_d_reading_is_rejected_up_front():
+    # also where nothing is transformed: the same word, or the zero vector
+    ct = CartanType("A2")
+    wa, wb = sorted(all_reduced_words(ct, ct.longest_word()))
+    v = basis(ct, wa, (1, 0, 1))
+    zero = FockVector.zero(ct, wa)
+    calls = [lambda: koy_transform(ct, wa, wa, v, "bogus"),
+             lambda: koy_transform(ct, wa, wb, zero, "bogus"),
+             lambda: koy_transform(ct, wa, wb, v, "bogus"),
+             lambda: conj1_operator(ct, wa, 0, zero, "bogus"),
+             lambda: conj1_operator(ct, wa, 0, v, "bogus")]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown d-reading 'bogus'"):
+            call()
+
+
 def test_koy_transform_roundtrip():
     ct = CartanType("B2")
     wa, wb = sorted(all_reduced_words(ct, ct.longest_word()))
