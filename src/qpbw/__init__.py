@@ -7,7 +7,7 @@ from .rootdata import CartanType, all_reduced_words, exponent_weight, \
     kostant_count, prefix_roots, suffix_roots
 from .uqcore import UElement, UTensor
 from .pairing import Pairing, canonical_coords, eq_mod_serre
-from .braid import apply_word, root_vector, root_vector_power
+from .braid import apply_word, root_vector
 from .pbw import emul_constants, expand_in_family, indices_of_weight, \
     pbw_coords, pbw_monomial, transition_matrix
 from .fock import FockVector, TruncationError, conj1_operator, \

@@ -51,6 +51,19 @@ so
 with the same representatives the f-side chains would produce.  On pure
 words psi reverses the word and swaps e and f.
 
+The hat chains are not run either.  The bar involution (q -> q^{-1},
+k -> k^{-1}, e_i and f_i fixed) is a ring automorphism that fixes the
+normal-form commutator, and every That_i generator image above is the bar
+image of the Tdot_i image, so That_i = bar Tdot_i bar; the same holds for
+the inverses, and bar commutes with the projection onto pure e-words.
+Hence
+
+    ehat_r = bar(edot_r),    ftilde_r = psi(bar(etilde_r)),
+
+term for term on the projected representatives (Lusztig, Introduction to
+Quantum Groups, ch. 37, states the relation for T'').  On pure e-words bar
+acts on the coefficients alone (Scalar.bar).
+
 Operator images are computed over Z[q, q^-1], for both values of plus.
 The operators preserve the Z[q, q^-1]-form of U, and in the basis
 ê_j = (q_j - q_j^{-1}) e_j the commutator ê_j f_j - f_j ê_j = k_j - k_j^{-1}
@@ -71,7 +84,7 @@ integral form from step to step, the numerators of a chain grow.
 from __future__ import annotations
 
 from .rootdata import CartanType
-from .scalars import ONE, Scalar, common_denominator, laurent_product, qfact
+from .scalars import ONE, Scalar, common_denominator, laurent_product
 from .uqcore import (UElement, _add_int_term, _fword_weight,
                      _trusted, divided_e_power, divided_f_power, int_mul,
                      qdiff_product)
@@ -283,6 +296,9 @@ _root_vectors = {}
 
 # fdot and fhat are the psi images of these stored e-side root vectors
 _PSI_PARTNERS = {"fdot": "ehat", "fhat": "edot"}
+# ehat is the bar image of this stored e-side root vector, and ftilde the
+# psi image of the bar image of its partner
+_BAR_PARTNERS = {"ehat": "edot", "ftilde": "etilde"}
 
 
 def root_vector(ct: CartanType, family: str, word, r: int) -> UElement:
@@ -302,8 +318,11 @@ def root_vector(ct: CartanType, family: str, word, r: int) -> UElement:
         raise ValueError("unknown family %r" % family)
     if family in _PSI_PARTNERS:
         v = root_vector(ct, _PSI_PARTNERS[family], word, r).psi()
-    elif family == "ftilde":
-        v = _e_chain(ct, "etilde_hat", word, r).psi()
+    elif family in _BAR_PARTNERS:
+        v = root_vector(ct, _BAR_PARTNERS[family], word, r)
+        v = _trusted(UElement, ct, {m: c.bar() for m, c in v.terms.items()})
+        if family == "ftilde":
+            v = v.psi()
     else:
         v = _e_chain(ct, family, word, r)
     _root_vectors[key] = v
@@ -312,28 +331,12 @@ def root_vector(ct: CartanType, family: str, word, r: int) -> UElement:
 
 def _e_chain(ct, chain, word, r):
     """The e-side braid chain of the r-th root vector, projected onto pure
-    e-words after every step; chain is edot, ehat, etilde or etilde_hat
-    (That^{-1} in place of Tdot^{-1})."""
+    e-words after every step; chain is edot or etilde."""
     x = UElement.e(ct, word[r - 1])
-    if chain in ("edot", "ehat"):
-        op = t_dot if chain == "edot" else t_hat
+    if chain == "edot":
         for s in range(r - 2, -1, -1):
-            x = op(ct, word[s], x, plus=True)
+            x = t_dot(ct, word[s], x, plus=True)
     else:
-        op = t_dot_inv if chain == "etilde" else t_hat_inv
         for s in range(r, len(word)):
-            x = op(ct, word[s], x, plus=True)
-    return x
-
-
-def root_vector_power(ct, family, word, r, n, divided) -> UElement:
-    """n-th (optionally divided) power of a root vector."""
-    if n == 0:
-        return UElement.one(ct)
-    v = root_vector(ct, family, word, r)
-    x = v
-    for _ in range(n - 1):
-        x = x * v
-    if divided:
-        x = x.scale(qfact(n, ct.qi(word[r - 1])).inverse())
+            x = t_dot_inv(ct, word[s], x, plus=True)
     return x

@@ -16,6 +16,7 @@ produce byte-identical documents.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -959,7 +960,10 @@ def cmd_verify(args):
     return 1 if failures else 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The qpbw argument parser, built once per process; parse_args keeps
+    no state on it between calls."""
     p = argparse.ArgumentParser(prog="qpbw")
     sub = p.add_subparsers(dest="command", required=True)
 

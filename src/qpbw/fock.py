@@ -193,19 +193,6 @@ def _leg_act(ct, g, i, n):
     raise ValueError("unknown generator %r" % g)
 
 
-def leg_act(ct, g, r, v: FockVector) -> FockVector:
-    """Action of g in {a,b,c,d} on the r-th tensor slot (0-based) of v,
-    through the rank-1 rules at index word[r]."""
-    i = v.word[r]
-    terms = {}
-    for n, c in v.terms.items():
-        coeff, nr2 = _leg_act(ct, g, i, n[r])
-        if coeff is not None:
-            key = n[:r] + (nr2,) + n[r + 1:]
-            terms[key] = terms.get(key, ZERO) + c * coeff
-    return FockVector(ct, v.word, terms)
-
-
 # -- the u-basis table -----------------------------------------------------
 #
 # Along a word w, with d(n) = d_word_const(ct, w, n, "qi"), the module basis

@@ -23,29 +23,39 @@ coordinates are a single division and all transitions are routed through
 them; other families are expressed in hat coordinates and inverted per
 weight block by the exact Gauss-Jordan elimination of qpbw.linalg.
 
-tau is bilinear, so pbw_coords pairs x with its weight block through x's
-dual vector, over Z[q, q^-1].  With tau(e_E, f_F) = N(E, F) / D_gamma
-(pairing.Pairing.numerator, uqcore.qdiff_product), x's coefficients
-over one denominator, c_E = a_E / den_x, and each dual hat monomial over
-its own, fhat^n = sum_F b_F / den_y f_F, the coordinate at n is
+PBW monomials are built over Z[q, q^-1].  Each root vector is put over one
+denominator once, as pairs (letter word, integer exponent map) with a
+Scalar 1/L_r; pure e-words (and pure f-words) multiply by concatenation,
+so a monomial is a convolution of those integer maps over concatenated
+words, with the scale prod_r L_r^{-n_r} (times 1/[n_r]_{q_r}! for the
+divided families).  This needs every root vector to be pure e-words
+(resp. f-words) without a k-part, which is checked when it is put over
+one denominator.
+
+tau is bilinear, so the hat coordinates pair x with its weight block
+through x's dual vector, over Z[q, q^-1].  With tau(e_E, f_F) =
+N(E, F) / D_gamma (pairing.Pairing.numerator, uqcore.qdiff_product), x
+over one scale, c_E = a_E / den_x, and each dual hat monomial in integral
+form, fhat^n = sum_F b_F s_y f_F, the coordinate at n is
 
     tau(x, fhat^n) / hat_norm(n)
-        = (sum_F w[F] b_F) / (den_x den_y D_gamma hat_norm(n)),
+        = (sum_F w[F] b_F) s_y / (den_x D_gamma hat_norm(n)),
     w[F] = sum_E a_E N(E, F),
 
 where w and the sum are integer exponent maps.  The store keeps, per
 weight block, each dual hat monomial as its numerators b_F indexed by the
 position of F in words_of_weight(gamma), with the Scalar factor
-1/(den_y D_gamma hat_norm(n)); w[F] is filled on first use, so x meets each
+s_y/(D_gamma hat_norm(n)); w[F] is filled on first use, so x meets each
 word of the block once, and each coordinate costs one Scalar reduction
-(scalars.laurent_product).  The f side swaps the roles of E and F.  This
-needs the dual hat monomials to be pure f-words (resp. e-words) without a
-k-part, which the store checks once per block.
+(scalars.laurent_product).  The f side swaps the roles of E and F.
+Transition blocks feed the integral monomials of the family into this
+pairing directly; pbw_coords puts a UElement over one denominator first.
 
-Weight blocks are kept in one process-wide store: the integral dual hat
-monomials that pbw_coords pairs against, the rows of each transition block
-and each block of e_i structure constants are computed on first request
-and shared by every later one for the life of the process.  The fock layer
+Weight blocks are kept in one process-wide store: the integral root
+vectors, the integral dual hat monomials that the hat coordinates pair
+against, the rows of each transition block and each block of e_i
+structure constants are computed on first request and shared by every
+later one for the life of the process.  The fock layer
 keeps its blocks here too: the module basis-change blocks, and per (type,
 word) the u-basis straightening table from which both readings read the
 basis change and the ladder operator (the q reading rescales the qi
@@ -59,13 +69,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .braid import E_FAMILIES, FAMILIES, FAMILY_ALIASES, root_vector_power
+from .braid import E_FAMILIES, FAMILIES, FAMILY_ALIASES, root_vector
 from .linalg import solve_linear
 from .pairing import Pairing, words_of_weight
 from .rootdata import (CartanType, exponent_weight, prefix_roots,
                        suffix_roots)
-from .scalars import Scalar, _pmul_into, common_denominator, laurent_product
-from .uqcore import UElement, _fword_weight, qdiff_product
+from .scalars import (ONE, Scalar, _pmul_into, common_denominator,
+                      laurent_product, qfact)
+from .uqcore import UElement, _fword_weight, _trusted, qdiff_product
 
 
 def normalize_family(family: str) -> str:
@@ -88,15 +99,69 @@ def pbw_monomial(ct: CartanType, family: str, word, n) -> UElement:
     word = tuple(word)
     if len(n) != len(word):
         raise ValueError("exponent vector length does not match the word")
+    terms, scale = _int_monomial(ct, family, word, n)
+    zero = ct.zero()
+    eside = family in E_FAMILIES
+    return _trusted(UElement, ct, {
+        ((), zero, u) if eside else (u, zero, ()): laurent_product(p, (scale,))
+        for u, p in terms.items()})
+
+
+def _int_monomial(ct, family, word, n):
+    """The PBW monomial of the family with exponent vector n over one scale:
+    (terms, scale) with terms {letter word: integer exponent map}, nonzero,
+    and the monomial sum_u terms[u] * scale * e_u (f_u on the f side).
+
+    Pure e-words (and pure f-words) multiply by concatenation, so each
+    root-vector factor is a convolution with its integral form
+    (_int_root_vector); the scale is the product of their 1/L_r and of the
+    divided-power 1/[n_r]_{q_r}!."""
     divided = family in ("edot", "ehat", "ftilde")
-    ascending = family in ("etilde", "ftilde")
-    order = range(1, len(word) + 1) if ascending \
-        else range(len(word), 0, -1)
-    x = UElement.one(ct)
+    order = range(len(word)) if family in ("etilde", "ftilde") \
+        else range(len(word) - 1, -1, -1)
+    terms, scale = {(): {0: 1}}, ONE
     for r in order:
-        if n[r - 1]:
-            x = x * root_vector_power(ct, family, word, r, n[r - 1], divided)
-    return x
+        if not n[r]:
+            continue
+        vec, inv = _int_root_vector(ct, family, word, r + 1)
+        for _ in range(n[r]):
+            out = {}
+            for u, a in terms.items():
+                for v, b in vec:
+                    acc = out.get(u + v)
+                    if acc is None:
+                        acc = out[u + v] = {}
+                    _pmul_into(acc, a, b)
+            terms = out
+            scale = scale * inv
+        if divided:
+            scale = scale * qfact(n[r], ct.qi(word[r])).inverse()
+    terms = {u: {e: c for e, c in p.items() if c} for u, p in terms.items()}
+    return {u: p for u, p in terms.items() if p}, scale
+
+
+def _int_root_vector(ct, family, word, r):
+    """The r-th root vector of the family over one denominator L: (vec, inv)
+    with vec a list of (letter word, integer exponent map) and the Scalar
+    inv = 1/L.  Stored in the block store.
+
+    The pairing of pbw_coords reads letter words alone, which is tau only
+    for pure e-words (e-families) or pure f-words (f-families) without a
+    k-part; a root vector with any other term raises ValueError."""
+    def build():
+        eside = family in E_FAMILIES
+        letters, cs = [], []
+        for (F, kappa, E), c in root_vector(ct, family, word, r).terms.items():
+            if any(kappa) or (F if eside else E):
+                raise ValueError(
+                    "%s root vector %d along %s is not a combination of "
+                    "pure %s-words" % (family, r, word, "e" if eside else "f"))
+            letters.append(E if eside else F)
+            cs.append(c)
+        nums, inv = common_denominator(cs)
+        return list(zip(letters, nums)), inv
+
+    return stored_block(("root", ct.name, family, word, r), build)
 
 
 def indices_of_weight(ct: CartanType, family: str, word, gamma):
@@ -170,15 +235,11 @@ def _dual_block(ct: CartanType, word, gamma, eside):
 
     Returns (words, duals) with words = words_of_weight(ct, gamma) and one
     (n, entries, factor) in duals per index n.  The monomial's coefficient
-    at the word u is b_u / den_y with an integer exponent map b_u; entries
-    lists (position of u in words, b_u), and factor is the Scalar
-    1 / (den_y D_gamma hat_norm(n)).  The hat coordinate of x at n is then
-    factor sum_u N(x, u) b_u, with N(x, u) the integral pairing numerator
-    extended linearly in x.
-
-    The words are paired alone, which is tau only for pure f-words (resp.
-    e-words) without a k-part; a block with any other term raises
-    ValueError when it is built."""
+    at the word u is b_u * scale with an integer exponent map b_u
+    (_int_monomial); entries lists (position of u in words, b_u), and
+    factor is the Scalar scale / (D_gamma hat_norm(n)).  The hat
+    coordinate of x at n is then factor sum_u N(x, u) b_u, with N(x, u)
+    the integral pairing numerator extended linearly in x."""
     family = "fhat" if eside else "ehat"
     word, gamma = tuple(word), tuple(gamma)
 
@@ -187,19 +248,10 @@ def _dual_block(ct: CartanType, word, gamma, eside):
         pos = {u: p for p, u in enumerate(words)}
         duals = []
         for n in indices_of_weight(ct, family, word, gamma):
-            y = pbw_monomial(ct, family, word, n)
-            us, cs = [], []
-            for (F, kappa, E), c in y.terms.items():
-                if any(kappa) or (E if eside else F):
-                    raise ValueError(
-                        "%s monomial %s along %s is not a combination of "
-                        "pure %s-words" % (family, n, word,
-                                           "f" if eside else "e"))
-                us.append(pos[F if eside else E])
-                cs.append(c)
-            nums, inv_y = common_denominator(cs)
-            duals.append((n, list(zip(us, nums)), inv_y / (
-                qdiff_product(ct, gamma) * _hat_norm(ct.name, word, n))))
+            terms, scale = _int_monomial(ct, family, word, n)
+            duals.append((n, [(pos[u], b) for u, b in terms.items()],
+                          scale / (qdiff_product(ct, gamma)
+                                   * _hat_norm(ct.name, word, n))))
         return words, duals
 
     return stored_block(("duals", ct.name, family, word, gamma), build)
@@ -212,12 +264,8 @@ def pbw_coords(ct: CartanType, x: UElement, word, eside=True) -> dict:
     weight homogeneous.  Returns {exponent vector: Scalar}.
 
     The coordinate at n is tau(x, fhat^n) (resp. tau(ehat^(n), x)) over the
-    hat norm, computed over Z[q, q^-1]: x's coefficients are put over one
-    denominator, c_v = a_v / den_x, and x's integral dual vector
-    w[u] = sum_v a_v N(v, u) is filled on first use at the words u of the
-    block's monomials.  Then sum_u w[u] b_u is an exponent map, and the
-    coordinate is that map times factor(n) / den_x (see _dual_block),
-    made a Scalar by one reduction."""
+    hat norm; x's coefficients are put over one denominator, c_v = a_v /
+    den_x, and paired by _hat_coords."""
     word = tuple(word)
     if x.is_zero():
         return {}
@@ -231,9 +279,21 @@ def pbw_coords(ct: CartanType, x: UElement, word, eside=True) -> dict:
         coeffs.append(c)
     if len(gammas) > 1:
         raise ValueError("element is not weight homogeneous")
-    words, duals = _dual_block(ct, word, gammas.pop(), eside)
     nums, inv_x = common_denominator(coeffs)
-    xdual = list(zip(xwords, nums))
+    return _hat_coords(ct, zip(xwords, nums), inv_x, word, gammas.pop(),
+                       eside)
+
+
+def _hat_coords(ct, xdual, inv_x, word, gamma, eside):
+    """Hat coordinates along the word of x = inv_x sum_v a_v e_v (f_v on
+    the f side), given xdual = pairs (v, a_v) of letter words of weight
+    gamma and integer exponent maps, computed over Z[q, q^-1]: x's
+    integral dual vector w[u] = sum_v a_v N(v, u) is filled on first use
+    at the words u of the block's monomials.  Then sum_u w[u] b_u is an
+    exponent map, and the coordinate is that map times factor(n) inv_x
+    (see _dual_block), made a Scalar by one reduction."""
+    words, duals = _dual_block(ct, word, gamma, eside)
+    xdual = list(xdual)
     numerator = Pairing(ct).numerator
     w = {}
     out = {}
@@ -256,12 +316,19 @@ def pbw_coords(ct: CartanType, x: UElement, word, eside=True) -> dict:
     return out
 
 
+def _monomial_coords(ct, family, from_word, n, to_word, gamma, eside):
+    """Hat coordinates along to_word of the family's weight-gamma monomial
+    n along from_word, paired from its integral form."""
+    terms, scale = _int_monomial(ct, family, from_word, n)
+    return _hat_coords(ct, terms.items(), scale, to_word, gamma, eside)
+
+
 def _family_columns(ct, family, word, gamma, eside):
     """Indices of the family's weight-gamma block along the word and the hat
     coordinates of its monomials, in the same order."""
     idx = indices_of_weight(ct, family, word, gamma)
-    return idx, [pbw_coords(ct, pbw_monomial(ct, family, word, n), word,
-                            eside=eside) for n in idx]
+    return idx, [_monomial_coords(ct, family, word, n, word, gamma, eside)
+                 for n in idx]
 
 
 def _solve_in_family(idx, columns, targets):
@@ -302,8 +369,8 @@ def transition_matrix(ct: CartanType, family: str, from_word, to_word,
 
 def _transition_rows(ct, family, from_word, to_word, gamma):
     eside = family in E_FAMILIES
-    rows = {n: pbw_coords(ct, pbw_monomial(ct, family, from_word, n),
-                          to_word, eside=eside)
+    rows = {n: _monomial_coords(ct, family, from_word, n, to_word, gamma,
+                                eside)
             for n in indices_of_weight(ct, family, from_word, gamma)}
     if family == ("ehat" if eside else "fhat") or not rows:
         return rows

@@ -225,6 +225,36 @@ def test_psi_intertwines_the_two_normalizations():
                 == braid.t_hat_inv(ct, i, x).psi()
 
 
+def _hat_chains(ct, word, r):
+    """The That chain and the That^-1 chain of the r-th slot, stepped with
+    plus=True and started from e_{i_r}, as the e-side chains are: ehat_r,
+    and the e-side preimage under psi of ftilde_r."""
+    x = y = UElement.e(ct, word[r - 1])
+    for s in range(r - 2, -1, -1):
+        x = braid.t_hat(ct, word[s], x, plus=True)
+    for s in range(r, len(word)):
+        y = braid.t_hat_inv(ct, word[s], y, plus=True)
+    return x, y
+
+
+def test_hat_root_vectors_are_bar_images_of_the_dot_chains():
+    # ehat_r = bar(edot_r) and ftilde_r = psi(bar(etilde_r)) against the
+    # That and That^-1 chains themselves, on every slot of every reduced
+    # word of w0
+    slots = 0
+    for name in ("A2", "B2", "G2", "A3"):
+        ct = CartanType(name)
+        for word in sorted(all_reduced_words(ct, ct.longest_word())):
+            for r in range(1, len(word) + 1):
+                ehat, etilde_hat = _hat_chains(ct, word, r)
+                where = (name, word, r)
+                assert braid.root_vector(ct, "ehat", word, r) == ehat, where
+                assert braid.root_vector(ct, "ftilde", word, r) \
+                    == etilde_hat.psi(), where
+                slots += 1
+    assert slots == 122
+
+
 def test_plus_is_the_projection_of_the_full_image():
     rng = random.Random(13)
     for name in ("A2", "B2", "G2"):

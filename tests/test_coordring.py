@@ -13,7 +13,7 @@ from qpbw.coordring import (_SUB_FORMS, MatCoef, _form_words, _leg_matrix,
                             _leg_poly, _mat_inverse, _verma_f, _zeros,
                             act_on_tensor, act_row_on_tensor, build_irrep,
                             fundamental_modules, verify_intertwiner)
-from qpbw.fock import FockVector, leg_act
+from qpbw.fock import FockVector
 from qpbw.pairing import words_of_weight
 from qpbw.pbw import indices_of_weight
 from qpbw.rootdata import CartanType, all_reduced_words, weights_of_height
@@ -21,6 +21,7 @@ from qpbw.scalars import ZERO, Scalar
 from qpbw.uqcore import UElement
 
 from dense_matrices import identity, k_matrix, mat_mul
+from test_fock import leg_act
 
 ONE = Scalar.from_int(1)
 

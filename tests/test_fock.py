@@ -10,6 +10,7 @@ from qpbw.rootdata import (CartanType, all_reduced_words, exponent_weight,
 from qpbw.scalars import Scalar
 
 ONE = Scalar.from_int(1)
+ZERO = Scalar.from_int(0)
 
 
 def basis(ct, word, exps):
@@ -18,6 +19,19 @@ def basis(ct, word, exps):
 
 def vacuum(ct, word):
     return FockVector.basis(ct, word, (0,) * len(word))
+
+
+def leg_act(ct, g, r, v: FockVector) -> FockVector:
+    """Action of g in {a,b,c,d} on the r-th tensor slot (0-based) of v,
+    through the rank-1 rules at index word[r]."""
+    i = v.word[r]
+    terms = {}
+    for n, c in v.terms.items():
+        coeff, nr2 = fock._leg_act(ct, g, i, n[r])
+        if coeff is not None:
+            key = n[:r] + (nr2,) + n[r + 1:]
+            terms[key] = terms.get(key, ZERO) + c * coeff
+    return FockVector(ct, v.word, terms)
 
 
 def test_sl2_action_rules():
@@ -53,7 +67,7 @@ def test_sl2_qi_scaling():
     i = word[0]
     d = ct.qi(i)
     v = vacuum(ct, word)
-    got = fock.leg_act(ct, "c", 0, v)
+    got = leg_act(ct, "c", 0, v)
     assert got == v.scale(-Scalar.q_power(d))
 
 

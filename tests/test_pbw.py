@@ -300,12 +300,14 @@ def test_g2_hat_blocks_match_pinned_shas():
 @pytest.mark.parametrize("bad", ["k-part", "wrong side"])
 def test_dual_hat_block_rejects_terms_the_dual_vector_cannot_pair(
         monkeypatch, eside, bad):
+    # the dual block's monomials are built from the integral root vectors,
+    # which read braid.root_vector through pbw's name for it
     ct = CartanType("A2")
     word = (0, 1, 0)
-    real = pbw.pbw_monomial
+    real = pbw.root_vector
 
-    def spoiled(ct, family, word, n):
-        y = real(ct, family, word, n)
+    def spoiled(ct, family, word, r):
+        y = real(ct, family, word, r)
         if bad == "k-part":
             return y * UElement.k_i(ct, 0)
         extra = UElement.e(ct, 0) if eside else UElement.f(ct, 0)
@@ -313,9 +315,12 @@ def test_dual_hat_block_rejects_terms_the_dual_vector_cannot_pair(
 
     x = pbw.pbw_monomial(ct, "ehat" if eside else "fhat", word, (1, 1, 0))
     pbw.clear_store()
-    monkeypatch.setattr(pbw, "pbw_monomial", spoiled)
+    monkeypatch.setattr(pbw, "root_vector", spoiled)
+    family = "fhat" if eside else "ehat"
     try:
-        with pytest.raises(ValueError, match="not a combination of pure"):
+        with pytest.raises(ValueError, match="%s root vector [0-9] along "
+                           r"\(0, 1, 0\) is not a combination of pure"
+                           % family):
             pbw.pbw_coords(ct, x, word, eside)
     finally:
         pbw.clear_store()

@@ -32,3 +32,29 @@ def test_transition_output_matches_pinned_digest():
             assert cli.main(argv) == 0, argv
         digest.update(buf.getvalue().encode())
     assert digest.hexdigest() == workloads.TRANSITION_DIGEST
+
+
+def _stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+def test_a_reused_parser_carries_no_state_between_calls():
+    # cli.main builds its parser once per process: after a rejected argv,
+    # every seed-independent call prints what it prints on a fresh parser
+    workloads = _load_workloads()
+    inputs = workloads._transition_inputs(0)
+    calls = inputs["calls"][:inputs["fixed"]]
+    first = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        first.append(_stdout(argv))
+    bad = ["transition", "--type", "A2", "--from", "1,2,1", "--to", "2,1,2",
+           "--weight", "1.5,2"]
+    assert _stdout(bad) == (2, "")
+    parser = cli.build_parser()
+    for argv, want in zip(calls, first):
+        assert _stdout(argv) == want, argv
+    assert cli.build_parser() is parser
